@@ -17,6 +17,11 @@
 // single-axis splitter at 8 workers by >= 2x, with all stores bit-identical
 // to the sequential reference.
 //
+// The store-lifecycle rows time what a request spends on its store outside
+// the loop: construct (allocate + zero) + fill_pattern + checksum of a
+// 64 MiB store, serial placement versus kFirstTouch at every usable cpu
+// (`--store-lifecycle` runs only these rows).
+//
 // Output is one JSON object per line (scrapeable into BENCH_*.json):
 //   {"bench":"runtime_throughput","name":...,"mode":"streaming","threads":2,
 //    "n":250,"iterations":251001,"seconds":...,"iters_per_sec":...,
@@ -414,17 +419,78 @@ int run_trace_overhead(bool gate) {
   return failures;
 }
 
+// ------------------------------------------------------ store lifecycle
+
+/// Best-of-5 construct + fill_pattern + checksum of inner_only(2^22)'s
+/// store (two arrays of 2^22 + 1 elements: 64 MiB), once with serial
+/// placement and once with first-touch slices at every usable cpu. The
+/// phase columns come from the best repetition; the digests must agree.
+int run_store_lifecycle() {
+  const i64 n = 1 << 22;
+  const loopir::LoopNest nest = inner_only(n);
+  const std::size_t usable = topo::Topology::system().num_cpus();
+  struct Row {
+    const char* mode;
+    exec::ArrayStore::Placement placement;
+    std::size_t threads;
+  };
+  const Row rows[] = {
+      {"serial", exec::ArrayStore::Placement::kSerial, 1},
+      {"first_touch", exec::ArrayStore::Placement::kFirstTouch, usable},
+  };
+  struct Timing {
+    double total = 1e30, construct = 0, fill = 0, checksum = 0;
+  };
+  i64 digests[2] = {0, 0};
+  for (int r = 0; r < 2; ++r) {
+    Timing best;
+    for (int rep = 0; rep < 5; ++rep) {
+      Timing t;
+      auto t0 = std::chrono::steady_clock::now();
+      exec::ArrayStore store(nest, rows[r].placement, rows[r].threads);
+      t.construct = seconds_since(t0);
+      t0 = std::chrono::steady_clock::now();
+      store.fill_pattern();
+      t.fill = seconds_since(t0);
+      t0 = std::chrono::steady_clock::now();
+      digests[r] = store.checksum();
+      t.checksum = seconds_since(t0);
+      t.total = t.construct + t.fill + t.checksum;
+      if (t.total < best.total) best = t;
+    }
+    std::printf(
+        "{\"bench\":\"runtime_throughput\",\"name\":\"store_lifecycle\","
+        "\"mode\":\"%s\",\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,"
+        "\"bytes\":%lld,\"seconds\":%.6f,\"seconds_construct\":%.6f,"
+        "\"seconds_fill\":%.6f,\"seconds_checksum\":%.6f}\n",
+        rows[r].mode, rows[r].threads, hw_threads(),
+        static_cast<long long>(n), 2LL * (n + 1) * 8, best.total,
+        best.construct, best.fill, best.checksum);
+  }
+  if (digests[0] != digests[1]) {
+    std::fprintf(stderr,
+                 "FAIL: store_lifecycle first-touch digest differs from "
+                 "serial\n");
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // `--gate`: run only the skewed-extent scenario with its >= 2x checks
   // (CI bench-smoke leg). `--trace-overhead-gate`: interleaved tracing
-  // on/off comparison with a <= 2% ceiling. Otherwise an optional scale
-  // factor (default 1): ./bench_runtime_throughput 2
+  // on/off comparison with a <= 2% ceiling. `--store-lifecycle`: only the
+  // store-lifecycle rows, nonzero exit if their digests disagree.
+  // Otherwise an optional scale factor (default 1):
+  // ./bench_runtime_throughput 2
   if (argc > 1 && std::strcmp(argv[1], "--gate") == 0)
     return run_skewed(/*gate=*/true) == 0 ? 0 : 1;
   if (argc > 1 && std::strcmp(argv[1], "--trace-overhead-gate") == 0)
     return run_trace_overhead(/*gate=*/true) == 0 ? 0 : 1;
+  if (argc > 1 && std::strcmp(argv[1], "--store-lifecycle") == 0)
+    return run_store_lifecycle();
   i64 scale = argc > 1 ? std::max(1L, std::atol(argv[1])) : 1;
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
 
@@ -460,5 +526,6 @@ int main(int argc, char** argv) {
 
   run_skewed(/*gate=*/false);
   run_trace_overhead(/*gate=*/false);
+  run_store_lifecycle();
   return 0;
 }

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <new>
+#include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "support/error.h"
@@ -18,64 +22,115 @@ constexpr std::size_t kPageElems = 4096 / sizeof(i64);
 /// Below this (64 KiB) the spawn/join costs more than the touch saves.
 constexpr std::size_t kParallelMinElems = (64u << 10) / sizeof(i64);
 
+/// "9223372036854775808 bytes": the size of `count` i64 elements, or its
+/// lower bound when that does not fit 64 bits.
+std::string byte_count(std::size_t count) {
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(count, sizeof(i64), &bytes))
+    return "more than " +
+           std::to_string(std::numeric_limits<std::size_t>::max()) +
+           " bytes";
+  return std::to_string(bytes) + " bytes";
+}
+
 }  // namespace
 
 ArrayStore::ArrayStore(const loopir::LoopNest& nest, Placement placement,
                        std::size_t touch_threads) {
+  bool any_large = false;
   for (const loopir::ArrayDecl& a : nest.arrays()) {
     Slot s;
     s.decl = a;
+    const auto count = static_cast<std::size_t>(a.element_count());
     // resize() with UninitAlloc maps the pages without writing them; the
     // zeroing pass below performs the first (placement-deciding) touch.
-    s.data.resize(static_cast<std::size_t>(a.element_count()));
+    // Allocation failures become typed errors: the Expected APIs that
+    // build stores (check(), owned batch stores) only capture vdep::Error.
+    try {
+      s.data.resize(count);
+    } catch (const std::length_error&) {
+      throw PreconditionError("array " + a.name + " needs " +
+                              byte_count(count) +
+                              ", more than a buffer can hold");
+    } catch (const std::bad_alloc&) {
+      throw PreconditionError("array " + a.name + " needs " +
+                              byte_count(count) + ", which cannot be allocated");
+    }
+    any_large = any_large || count >= kParallelMinElems;
     data_.emplace(a.name, std::move(s));
   }
-  zero_all(placement, touch_threads);
+  const topo::Topology& topology = topo::Topology::system();
+  const std::size_t cpus = topology.num_cpus();
+  const std::size_t threads =
+      std::min(touch_threads != 0 ? touch_threads : cpus, cpus);
+  if (placement == Placement::kFirstTouch && threads > 1 && any_large &&
+      topo::pin_supported() && topo::pin_env_enabled())
+    slices_ = threads;
+  for_each_slice(*this, [](std::size_t, Slot& s, std::uint64_t,
+                           std::size_t lo, std::size_t hi) {
+    std::memset(s.data.data() + lo, 0, (hi - lo) * sizeof(i64));
+  });
 }
 
-void ArrayStore::zero_all(Placement placement, std::size_t touch_threads) {
-  const bool pinnable = topo::pin_supported() && topo::pin_env_enabled();
-  const topo::Topology& topology = topo::Topology::system();
-  std::size_t threads = touch_threads != 0 ? touch_threads
-                                           : topology.num_cpus();
-  threads = std::min<std::size_t>(threads, topology.num_cpus());
-  for (auto& [name, s] : data_) {
-    i64* p = s.data.data();
-    const std::size_t count = s.data.size();
-    if (placement != Placement::kFirstTouch || threads <= 1 || !pinnable ||
-        count < kParallelMinElems) {
-      if (count > 0) std::memset(p, 0, count * sizeof(i64));
-      continue;
+template <class Self, class Fn>
+void ArrayStore::for_each_slice(Self& self, const Fn& fn) {
+  const std::size_t slices = self.slices_;
+  auto pass = [&](std::size_t k) {
+    std::uint64_t offset = 0;
+    for (auto& [name, s] : self.data_) {
+      const std::size_t count = s.data.size();
+      if (slices <= 1 || count < kParallelMinElems) {
+        if (k == 0 && count > 0) fn(k, s, offset, 0, count);
+      } else {
+        // Page-aligned contiguous slices in worker order: worker k's slice
+        // is the one the driver's position-ordered pre-seed will hand it.
+        const std::size_t pages = (count + kPageElems - 1) / kPageElems;
+        const std::size_t lo =
+            std::min(count, pages * k / slices * kPageElems);
+        const std::size_t hi =
+            std::min(count, pages * (k + 1) / slices * kPageElems);
+        if (hi > lo) fn(k, s, offset, lo, hi);
+      }
+      offset += count;
     }
-    // Page-aligned contiguous slices in worker order: worker k's slice is
-    // the one the driver's position-ordered pre-seed will hand it.
-    const std::vector<int> assignment = topology.assign_workers(threads);
-    const std::size_t pages = (count + kPageElems - 1) / kPageElems;
-    auto touch = [&](std::size_t k) {
-      topo::AffinityGuard pin(
-          topology.cpus()[static_cast<std::size_t>(assignment[k])].cpu);
-      const std::size_t lo = pages * k / threads * kPageElems;
-      const std::size_t hi =
-          std::min(count, pages * (k + 1) / threads * kPageElems);
-      if (hi > lo) std::memset(p + lo, 0, (hi - lo) * sizeof(i64));
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(threads - 1);
-    for (std::size_t k = 1; k < threads; ++k) workers.emplace_back(touch, k);
-    touch(0);
-    for (std::thread& t : workers) t.join();
+  };
+  if (slices <= 1) {
+    pass(0);
+    return;
   }
+  const topo::Topology& topology = topo::Topology::system();
+  const std::vector<int> assignment = topology.assign_workers(slices);
+  auto pinned = [&](std::size_t k) {
+    topo::AffinityGuard pin(
+        topology.cpus()[static_cast<std::size_t>(assignment[k])].cpu);
+    pass(k);
+  };
+  // jthreads join on every exit path, so no worker outlives the pass.
+  std::vector<std::jthread> workers;
+  workers.reserve(slices - 1);
+  std::size_t spawned = 1;
+  try {
+    for (; spawned < slices; ++spawned) workers.emplace_back(pinned, spawned);
+  } catch (const std::system_error&) {
+    // Out of threads: the caller runs the unspawned slices (unpinned) —
+    // same values, only placement is lost.
+  }
+  for (std::size_t k = spawned; k < slices; ++k) pass(k);
+  pinned(0);
 }
 
 void ArrayStore::fill_pattern() {
-  for (auto& [name, s] : data_) {
+  for_each_slice(*this, [](std::size_t, Slot& s, std::uint64_t,
+                           std::size_t lo, std::size_t hi) {
     std::uint64_t h = 1469598103934665603ULL;
-    for (char c : name) h = (h ^ static_cast<std::uint64_t>(c)) * 1099511628211ULL;
-    for (std::size_t k = 0; k < s.data.size(); ++k) {
+    for (char c : s.decl.name)
+      h = (h ^ static_cast<std::uint64_t>(c)) * 1099511628211ULL;
+    i64* p = s.data.data();
+    for (std::size_t k = lo; k < hi; ++k) {
       std::uint64_t v = (k * 2654435761ULL + h);
-      s.data[k] = static_cast<i64>(v % 199) - 99;
+      p[k] = static_cast<i64>(v % 199) - 99;
     }
-  }
+  });
 }
 
 const ArrayStore::Slot& ArrayStore::slot(const std::string& array) const {
@@ -106,18 +161,27 @@ i64 ArrayStore::checksum() const {
   // cost more than actually executing a small request — serving benches
   // were measuring the digest. Summing independent mixes keeps the loop
   // divide-free and lets iterations overlap, while a value moving between
-  // positions still changes the digest.
-  std::uint64_t sum = 0;
-  std::uint64_t pos = 0;
-  for (const auto& [name, s] : data_) {
-    for (i64 v : s.data) {
-      std::uint64_t z = static_cast<std::uint64_t>(v) +
+  // positions still changes the digest. Wrapping addition is associative
+  // and commutative, so per-worker partial sums over disjoint slices add
+  // up to the serial loop's bits.
+  std::vector<std::uint64_t> partial(slices_, 0);
+  for_each_slice(*this, [&](std::size_t worker, const Slot& s,
+                            std::uint64_t offset, std::size_t lo,
+                            std::size_t hi) {
+    std::uint64_t sum = 0;
+    std::uint64_t pos = offset + lo;
+    const i64* p = s.data.data();
+    for (std::size_t k = lo; k < hi; ++k) {
+      std::uint64_t z = static_cast<std::uint64_t>(p[k]) +
                         0x9e3779b97f4a7c15ULL * ++pos;
       z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
       z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
       sum += z ^ (z >> 31);
     }
-  }
+    partial[worker] += sum;
+  });
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : partial) sum += v;
   return static_cast<i64>(sum);
 }
 

@@ -7,11 +7,14 @@
 // Buffers use an allocator whose default-construct is a no-op, so resize()
 // maps pages without writing them. The store's own zeroing pass performs
 // the first touch — and on Linux the first touch decides which NUMA node a
-// page lands on. With Placement::kFirstTouch the zeroing is parallel and
-// pinned: worker k touches the k-th contiguous slice, the same slice the
+// page lands on. With Placement::kFirstTouch the store resolves a slice
+// count at construction, and its three whole-store passes (zero, fill,
+// checksum) run pinned and in parallel: worker k owns the k-th
+// page-aligned contiguous slice of every array, the same slice the
 // descriptor driver's position-ordered pre-seed hands pinned worker k, so
-// each worker's pages start on its own node. Values are identical either
-// way; only page placement changes.
+// each worker's pages start on its own node and are filled and digested
+// there. Values and digests are identical either way; only page placement
+// and which thread does the work change.
 #pragma once
 
 #include <map>
@@ -64,17 +67,22 @@ class ArrayStore {
   using Buffer = std::vector<i64, UninitAlloc<i64>>;
 
   /// Allocates every array declared by the nest, zero-initialized.
-  /// `touch_threads` sizes the kFirstTouch pass (0 = one per online cpu);
+  /// `touch_threads` sizes the kFirstTouch slices (0 = one per online cpu);
   /// pass the worker count the arrays will later be run with so the touch
-  /// slices line up with the driver's pre-seeded slices. Small buffers
-  /// (< 64 KiB) and hosts without affinity support fall back to serial.
+  /// slices line up with the driver's pre-seeded slices. Buffers under
+  /// 64 KiB go whole to worker 0; a store with no larger buffer, serial
+  /// placement, VDEP_PIN=0 and hosts without affinity support keep all
+  /// passes serial. An array too large to allocate throws
+  /// PreconditionError naming it and its byte count.
   explicit ArrayStore(const loopir::LoopNest& nest,
                       Placement placement = Placement::kSerial,
                       std::size_t touch_threads = 0);
 
   /// Deterministic non-trivial fill: element k of array a gets
-  /// (k * 2654435761 + hash(name)) % 199 - 99. Pages were already placed
-  /// by the construction-time touch; this pass does not move them.
+  /// (k * 2654435761 + hash(name)) % 199 - 99, hash = 64-bit FNV-1a of
+  /// the name (unsigned arithmetic mod 2^64). Runs on the construction-time
+  /// slices, so under kFirstTouch each page is written by the worker that
+  /// placed it.
   void fill_pattern();
 
   i64 read(const std::string& array, const Vec& coords) const;
@@ -82,7 +90,11 @@ class ArrayStore {
 
   bool operator==(const ArrayStore& o) const { return data_ == o.data_; }
 
-  /// Order-independent content digest (diagnostics).
+  /// Content digest: the wrapping (mod 2^64) sum over every element of
+  /// SplitMix64(value + 0x9e3779b97f4a7c15 * pos), pos = 1, 2, ... running
+  /// through the arrays in name order. Summation-order independent, which
+  /// is what lets the sliced pass sum each worker's slice separately and
+  /// still return the serial loop's bits.
   i64 checksum() const;
 
   const Buffer& raw(const std::string& array) const;
@@ -99,9 +111,18 @@ class ArrayStore {
   };
   const Slot& slot(const std::string& array) const;
   Slot& slot(const std::string& array);
-  void zero_all(Placement placement, std::size_t touch_threads);
+  /// The one whole-store pass: calls fn(worker, slot, offset, lo, hi) for
+  /// elements [lo, hi) of each slot, where offset is the store-wide index
+  /// of the slot's element 0. With slices_ > 1 it spawns slices_ - 1
+  /// pinned threads once (the caller is worker 0); otherwise it runs every
+  /// slot whole on the caller. Self is ArrayStore or const ArrayStore.
+  template <class Self, class Fn>
+  static void for_each_slice(Self& self, const Fn& fn);
 
   std::map<std::string, Slot> data_;
+  /// Worker count of the sliced passes, resolved at construction
+  /// (1 = serial).
+  std::size_t slices_ = 1;
 };
 
 }  // namespace vdep::exec

@@ -12,6 +12,7 @@
 
 #include "api/vdep.h"
 #include "core/suite.h"
+#include "dsl/parser.h"
 #include "exec/interpreter.h"
 #include "loopir/builder.h"
 
@@ -206,6 +207,49 @@ TEST(Compiler, PlanCompiledAtTenServesLargeBounds) {
   CacheStats s = compiler.cache_stats();
   EXPECT_EQ(s.misses, 1);
   EXPECT_EQ(s.hits, 0);
+}
+
+// The digest check() reports is the one docs/ARCHITECTURE.md quotes for
+// Example 4.1 at N = 10, under either store placement: splitting the store
+// passes across pinned workers must not redefine it.
+TEST(Compiler, ExampleFourOneCheckChecksumIsPinned) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(example41(10)).value();
+  for (exec::ArrayStore::Placement placement :
+       {exec::ArrayStore::Placement::kSerial,
+        exec::ArrayStore::Placement::kFirstTouch}) {
+    ExecReport r =
+        loop.check(ExecPolicy{}.threads(4).placement(placement)).value();
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.checksum, 6285247561584162315);
+  }
+}
+
+// 2^60 elements is above std::vector<i64>::max_size(), so the allocation
+// fails deterministically (no dependence on overcommit). It must surface
+// as a typed precondition error, not a raw std:: exception escaping the
+// Expected API.
+TEST(Compiler, UnallocatableStoreIsAPreconditionError) {
+  LoopNest nest = dsl::try_parse_loop_nest(
+                      "array A[0:1152921504606846975]\n"
+                      "do i = 0, 3\n"
+                      "  A[i] = A[i] + 1\n"
+                      "enddo\n")
+                      .value();
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  Expected<ExecReport> r = loop.check();
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition);
+  EXPECT_NE(r.error().message.find("array A"), std::string::npos);
+  EXPECT_NE(r.error().message.find("9223372036854775808 bytes"),
+            std::string::npos);
+
+  // execute_batch allocates its own store for a request without one.
+  Expected<std::vector<ExecReport>> b =
+      loop.execute_batch(std::vector<LoopNest>{nest});
+  ASSERT_FALSE(b.has_value());
+  EXPECT_EQ(b.error().kind, ErrorKind::kPrecondition);
 }
 
 TEST(Expected, ValueOrAndMonadicComposition) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "dep/pdm.h"
 #include "exec/array_store.h"
 #include "exec/interpreter.h"
+#include "loopir/builder.h"
 #include "runtime/driver.h"
 #include "runtime/stream_executor.h"
 #include "topo/affinity.h"
@@ -355,6 +357,90 @@ TEST(FirstTouch, TinyAndOddSizedArraysAreFullyZeroed) {
   exec::ArrayStore a(nest, exec::ArrayStore::Placement::kFirstTouch, 8);
   exec::ArrayStore b(nest, exec::ArrayStore::Placement::kSerial);
   EXPECT_TRUE(a == b);
+}
+
+
+/// A store mixing an array under the 64 KiB parallel threshold (A, 1000
+/// elements) with two above it whose sizes are not page multiples (B:
+/// 100003 elements, 163 in its tail page; C: 3 x 40961, 3 in its tail page).
+/// Name order A, B, C is also the digest's position order.
+loopir::LoopNest mixed_store_nest() {
+  loopir::LoopNestBuilder b;
+  b.loop("i", 0, 999);
+  b.array("A", {{0, 999}});
+  b.array("B", {{0, 100002}});
+  b.array("C", {{0, 2}, {0, 40960}});
+  b.assign(b.ref("A", {b.idx(0)}),
+           loopir::Expr::add(b.read("B", {b.idx(0)}),
+                             b.read("C", {b.affine({0}, 1), b.idx(0)})));
+  return b.build();
+}
+
+TEST(FirstTouch, SlicedPassesAreBitIdenticalAcrossPlacementsAndThreads) {
+  loopir::LoopNest nest = mixed_store_nest();
+  const exec::ArrayStore zero(nest);
+  exec::ArrayStore ref(nest);
+  ref.fill_pattern();
+  const i64 filled_sum = ref.checksum();
+  // One write into C's tail page, the last page of the last slice.
+  ref.write("C", {2, 40960}, 12345);
+  const i64 written_sum = ref.checksum();
+  ASSERT_NE(filled_sum, written_sum);
+
+  for (exec::ArrayStore::Placement placement :
+       {exec::ArrayStore::Placement::kSerial,
+        exec::ArrayStore::Placement::kFirstTouch}) {
+    for (std::size_t threads : {1, 2, 3, 8}) {
+      SCOPED_TRACE(testing::Message()
+                   << (placement == exec::ArrayStore::Placement::kSerial
+                           ? "serial"
+                           : "first-touch")
+                   << " x " << threads << " touch threads");
+      exec::ArrayStore store(nest, placement, threads);
+      EXPECT_TRUE(store == zero);
+      store.fill_pattern();
+      EXPECT_EQ(store.checksum(), filled_sum);
+      store.write("C", {2, 40960}, 12345);
+      EXPECT_TRUE(store == ref);
+      EXPECT_EQ(store.checksum(), written_sum);
+    }
+  }
+}
+
+/// The documented fill, written out independently of the store: element k
+/// of an array gets (k * 2654435761 + FNV-1a(name)) % 199 - 99.
+i64 documented_fill(const std::string& name, std::uint64_t k) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (char c : name) h = (h ^ static_cast<std::uint64_t>(c)) * 1099511628211ULL;
+  return static_cast<i64>((k * 2654435761ULL + h) % 199) - 99;
+}
+
+/// One SplitMix64 term of the documented digest.
+std::uint64_t documented_mix(i64 v, std::uint64_t pos) {
+  std::uint64_t z = static_cast<std::uint64_t>(v) + 0x9e3779b97f4a7c15ULL * pos;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+TEST(FirstTouch, ParallelStoreMatchesDocumentedFillAndDigest) {
+  loopir::LoopNest nest = mixed_store_nest();
+  exec::ArrayStore store(nest, exec::ArrayStore::Placement::kFirstTouch, 3);
+  store.fill_pattern();
+  std::uint64_t digest = 0;
+  std::uint64_t pos = 0;
+  for (const std::string name : {"A", "B", "C"}) {
+    const exec::ArrayStore::Buffer& buf = store.raw(name);
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < buf.size(); ++k) {
+      const i64 want = documented_fill(name, k);
+      mismatches += buf[k] != want;
+      digest += documented_mix(want, ++pos);
+    }
+    EXPECT_EQ(mismatches, 0u) << "array " << name;
+  }
+  EXPECT_EQ(pos, 1000u + 100003u + 3u * 40961u);
+  EXPECT_EQ(store.checksum(), static_cast<i64>(digest));
 }
 
 }  // namespace
