@@ -18,9 +18,9 @@
 // to the sequential reference.
 //
 // The store-lifecycle rows time what a request spends on its store outside
-// the loop: construct (allocate + zero) + fill_pattern + checksum of a
-// 64 MiB store, serial placement versus kFirstTouch at every usable cpu
-// (`--store-lifecycle` runs only these rows).
+// the loop: construct (allocate + zero) + fill_pattern + checksum of stores
+// from 128 KiB to 64 MiB, serial placement versus kFirstTouch at every
+// usable cpu.
 //
 // Output is one JSON object per line (scrapeable into BENCH_*.json):
 //   {"bench":"runtime_throughput","name":...,"mode":"streaming","threads":2,
@@ -33,6 +33,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/suite.h"
 #include "dep/pdm.h"
@@ -421,59 +422,74 @@ int run_trace_overhead(bool gate) {
 
 // ------------------------------------------------------ store lifecycle
 
-/// Best-of-5 construct + fill_pattern + checksum of inner_only(2^22)'s
-/// store (two arrays of 2^22 + 1 elements: 64 MiB), once with serial
-/// placement and once with first-touch slices at every usable cpu. The
-/// phase columns come from the best repetition; the digests must agree.
+/// Construct + fill_pattern + checksum of inner_only(n)'s store (two
+/// arrays of n + 1 elements), serial placement versus first-touch slices
+/// at every usable cpu, for stores from 128 KiB (arrays at the 64 KiB
+/// slicing threshold) up to 64 MiB. Each row reports the median of `reps`
+/// repetitions per phase, serial and first-touch repetitions alternating
+/// so host drift hits both alike. Returns the number of sizes whose two
+/// digests differ.
 int run_store_lifecycle() {
-  const i64 n = 1 << 22;
-  const loopir::LoopNest nest = inner_only(n);
   const std::size_t usable = topo::Topology::system().num_cpus();
-  struct Row {
-    const char* mode;
+  struct Mode {
+    const char* name;
     exec::ArrayStore::Placement placement;
     std::size_t threads;
   };
-  const Row rows[] = {
+  const Mode modes[] = {
       {"serial", exec::ArrayStore::Placement::kSerial, 1},
       {"first_touch", exec::ArrayStore::Placement::kFirstTouch, usable},
   };
-  struct Timing {
-    double total = 1e30, construct = 0, fill = 0, checksum = 0;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
   };
-  i64 digests[2] = {0, 0};
-  for (int r = 0; r < 2; ++r) {
-    Timing best;
-    for (int rep = 0; rep < 5; ++rep) {
-      Timing t;
-      auto t0 = std::chrono::steady_clock::now();
-      exec::ArrayStore store(nest, rows[r].placement, rows[r].threads);
-      t.construct = seconds_since(t0);
-      t0 = std::chrono::steady_clock::now();
-      store.fill_pattern();
-      t.fill = seconds_since(t0);
-      t0 = std::chrono::steady_clock::now();
-      digests[r] = store.checksum();
-      t.checksum = seconds_since(t0);
-      t.total = t.construct + t.fill + t.checksum;
-      if (t.total < best.total) best = t;
+  int mismatches = 0;
+  for (const i64 n : {i64{8191}, i64{16383}, i64{65535}, i64{524287},
+                      i64{1} << 22}) {
+    const loopir::LoopNest nest = inner_only(n);
+    // ~64 Mi elements touched per mode, at least 5 and at most 101 reps.
+    const int reps = static_cast<int>(
+        std::clamp<i64>((i64{1} << 26) / (2 * (n + 1)), 5, 101) | 1);
+    std::vector<double> construct[2], fill[2], checksum[2], total[2];
+    i64 digests[2] = {0, 0};
+    for (int rep = 0; rep < reps; ++rep) {
+      for (int m = 0; m < 2; ++m) {
+        auto t0 = std::chrono::steady_clock::now();
+        exec::ArrayStore store(nest, modes[m].placement, modes[m].threads);
+        const double c = seconds_since(t0);
+        t0 = std::chrono::steady_clock::now();
+        store.fill_pattern();
+        const double f = seconds_since(t0);
+        t0 = std::chrono::steady_clock::now();
+        digests[m] = store.checksum();
+        const double d = seconds_since(t0);
+        construct[m].push_back(c);
+        fill[m].push_back(f);
+        checksum[m].push_back(d);
+        total[m].push_back(c + f + d);
+      }
     }
-    std::printf(
-        "{\"bench\":\"runtime_throughput\",\"name\":\"store_lifecycle\","
-        "\"mode\":\"%s\",\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,"
-        "\"bytes\":%lld,\"seconds\":%.6f,\"seconds_construct\":%.6f,"
-        "\"seconds_fill\":%.6f,\"seconds_checksum\":%.6f}\n",
-        rows[r].mode, rows[r].threads, hw_threads(),
-        static_cast<long long>(n), 2LL * (n + 1) * 8, best.total,
-        best.construct, best.fill, best.checksum);
+    for (int m = 0; m < 2; ++m)
+      std::printf(
+          "{\"bench\":\"runtime_throughput\",\"name\":\"store_lifecycle\","
+          "\"mode\":\"%s\",\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,"
+          "\"bytes\":%lld,\"reps\":%d,\"seconds\":%.7f,"
+          "\"seconds_construct\":%.7f,\"seconds_fill\":%.7f,"
+          "\"seconds_checksum\":%.7f,\"digest_match\":%s}\n",
+          modes[m].name, modes[m].threads, hw_threads(),
+          static_cast<long long>(n), 2LL * (n + 1) * 8, reps,
+          median(total[m]), median(construct[m]), median(fill[m]),
+          median(checksum[m]), digests[0] == digests[1] ? "true" : "false");
+    if (digests[0] != digests[1]) {
+      std::fprintf(stderr,
+                   "FAIL: store_lifecycle n=%lld first-touch digest differs "
+                   "from serial\n",
+                   static_cast<long long>(n));
+      ++mismatches;
+    }
   }
-  if (digests[0] != digests[1]) {
-    std::fprintf(stderr,
-                 "FAIL: store_lifecycle first-touch digest differs from "
-                 "serial\n");
-    return 1;
-  }
-  return 0;
+  return mismatches;
 }
 
 }  // namespace
@@ -481,16 +497,12 @@ int run_store_lifecycle() {
 int main(int argc, char** argv) {
   // `--gate`: run only the skewed-extent scenario with its >= 2x checks
   // (CI bench-smoke leg). `--trace-overhead-gate`: interleaved tracing
-  // on/off comparison with a <= 2% ceiling. `--store-lifecycle`: only the
-  // store-lifecycle rows, nonzero exit if their digests disagree.
-  // Otherwise an optional scale factor (default 1):
-  // ./bench_runtime_throughput 2
+  // on/off comparison with a <= 2% ceiling. Otherwise an optional scale
+  // factor (default 1): ./bench_runtime_throughput 2
   if (argc > 1 && std::strcmp(argv[1], "--gate") == 0)
     return run_skewed(/*gate=*/true) == 0 ? 0 : 1;
   if (argc > 1 && std::strcmp(argv[1], "--trace-overhead-gate") == 0)
     return run_trace_overhead(/*gate=*/true) == 0 ? 0 : 1;
-  if (argc > 1 && std::strcmp(argv[1], "--store-lifecycle") == 0)
-    return run_store_lifecycle();
   i64 scale = argc > 1 ? std::max(1L, std::atol(argv[1])) : 1;
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
 

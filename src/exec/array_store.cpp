@@ -19,8 +19,17 @@ namespace {
 /// First-touch granularity: whole pages, so two touch threads never split
 /// ownership of one page.
 constexpr std::size_t kPageElems = 4096 / sizeof(i64);
-/// Below this (64 KiB) the spawn/join costs more than the touch saves.
+/// Arrays under this (64 KiB, 16 pages) go whole to worker 0 rather than
+/// being cut into slices of a page or two.
 constexpr std::size_t kParallelMinElems = (64u << 10) / sizeof(i64);
+/// A store slices its passes only when its arrays of kParallelMinElems or
+/// more hold at least this much (1 MiB): each sliced pass spawns, pins and
+/// joins its workers, about 100 us for 3 threads. Measured with the
+/// bench_runtime_throughput store_lifecycle rows (4-vCPU Xeon VM, 1 NUMA
+/// node, median of 101 reps): at 128-256 KiB stores a first-touch fill or
+/// checksum took 100-140 us against 20-75 us serial, at 512 KiB both took
+/// 95-150 us, at 1 MiB first-touch was 5-35% faster and at 2 MiB 2x.
+constexpr std::size_t kSlicedStoreMinElems = (1u << 20) / sizeof(i64);
 
 /// "9223372036854775808 bytes": the size of `count` i64 elements, or its
 /// lower bound when that does not fit 64 bits.
@@ -37,7 +46,7 @@ std::string byte_count(std::size_t count) {
 
 ArrayStore::ArrayStore(const loopir::LoopNest& nest, Placement placement,
                        std::size_t touch_threads) {
-  bool any_large = false;
+  std::size_t sliceable = 0;
   for (const loopir::ArrayDecl& a : nest.arrays()) {
     Slot s;
     s.decl = a;
@@ -56,15 +65,16 @@ ArrayStore::ArrayStore(const loopir::LoopNest& nest, Placement placement,
       throw PreconditionError("array " + a.name + " needs " +
                               byte_count(count) + ", which cannot be allocated");
     }
-    any_large = any_large || count >= kParallelMinElems;
+    if (count >= kParallelMinElems) sliceable += count;
     data_.emplace(a.name, std::move(s));
   }
   const topo::Topology& topology = topo::Topology::system();
   const std::size_t cpus = topology.num_cpus();
   const std::size_t threads =
       std::min(touch_threads != 0 ? touch_threads : cpus, cpus);
-  if (placement == Placement::kFirstTouch && threads > 1 && any_large &&
-      topo::pin_supported() && topo::pin_env_enabled())
+  if (placement == Placement::kFirstTouch && threads > 1 &&
+      sliceable >= kSlicedStoreMinElems && topo::pin_supported() &&
+      topo::pin_env_enabled())
     slices_ = threads;
   for_each_slice(*this, [](std::size_t, Slot& s, std::uint64_t,
                            std::size_t lo, std::size_t hi) {

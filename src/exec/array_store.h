@@ -70,10 +70,10 @@ class ArrayStore {
   /// `touch_threads` sizes the kFirstTouch slices (0 = one per online cpu);
   /// pass the worker count the arrays will later be run with so the touch
   /// slices line up with the driver's pre-seeded slices. Buffers under
-  /// 64 KiB go whole to worker 0; a store with no larger buffer, serial
-  /// placement, VDEP_PIN=0 and hosts without affinity support keep all
-  /// passes serial. An array too large to allocate throws
-  /// PreconditionError naming it and its byte count.
+  /// 64 KiB go whole to worker 0; a store whose larger buffers hold less
+  /// than 1 MiB in total, serial placement, VDEP_PIN=0 and hosts without
+  /// affinity support keep all passes serial. An array too large to
+  /// allocate throws PreconditionError naming it and its byte count.
   explicit ArrayStore(const loopir::LoopNest& nest,
                       Placement placement = Placement::kSerial,
                       std::size_t touch_threads = 0);
@@ -96,6 +96,10 @@ class ArrayStore {
   /// is what lets the sliced pass sum each worker's slice separately and
   /// still return the serial loop's bits.
   i64 checksum() const;
+
+  /// Worker count of the sliced passes, resolved at construction
+  /// (1 = every pass runs serially on the caller).
+  std::size_t slices() const { return slices_; }
 
   const Buffer& raw(const std::string& array) const;
   /// Mutable buffer access for compiled kernels (exec/compiled.h).
@@ -120,8 +124,6 @@ class ArrayStore {
   static void for_each_slice(Self& self, const Fn& fn);
 
   std::map<std::string, Slot> data_;
-  /// Worker count of the sliced passes, resolved at construction
-  /// (1 = serial).
   std::size_t slices_ = 1;
 };
 

@@ -210,19 +210,15 @@ TEST(Compiler, PlanCompiledAtTenServesLargeBounds) {
 }
 
 // The digest check() reports is the one docs/ARCHITECTURE.md quotes for
-// Example 4.1 at N = 10, under either store placement: splitting the store
-// passes across pinned workers must not redefine it.
+// Example 4.1 at N = 10. Its store is far below the slicing floor, so this
+// pins the serial digest definition; topo_test compares sliced first-touch
+// stores against an in-test reference of the same definition.
 TEST(Compiler, ExampleFourOneCheckChecksumIsPinned) {
   Compiler compiler;
   CompiledLoop loop = compiler.compile(example41(10)).value();
-  for (exec::ArrayStore::Placement placement :
-       {exec::ArrayStore::Placement::kSerial,
-        exec::ArrayStore::Placement::kFirstTouch}) {
-    ExecReport r =
-        loop.check(ExecPolicy{}.threads(4).placement(placement)).value();
-    EXPECT_TRUE(r.verified);
-    EXPECT_EQ(r.checksum, 6285247561584162315);
-  }
+  ExecReport r = loop.check(ExecPolicy{}.threads(4)).value();
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.checksum, 6285247561584162315);
 }
 
 // 2^60 elements is above std::vector<i64>::max_size(), so the allocation

@@ -326,15 +326,77 @@ TEST(TopologyScheduling, StealDistanceCountersSumToTotalSteals) {
 
 // ---------------------------------------------------------- first touch
 
+/// Whether a kFirstTouch store can slice its passes here at all. Without
+/// two usable cpus and pinning every store stays serial, and a sliced-pass
+/// test would only compare the serial path with itself.
+bool stores_can_slice() {
+  return Topology::system().num_cpus() >= 2 && pin_supported() &&
+         pin_env_enabled();
+}
+
+/// A store mixing an array under the 64 KiB per-array threshold (A, 1000
+/// elements) with two above it whose sizes are not page multiples (B:
+/// 100003 elements, 163 in its tail page; C: 3 x 40961, 3 in its tail page)
+/// and 1.8 MiB in total, above the 1 MiB slicing floor. Name order A, B, C
+/// is also the digest's position order.
+loopir::LoopNest mixed_store_nest() {
+  loopir::LoopNestBuilder b;
+  b.loop("i", 0, 999);
+  b.array("A", {{0, 999}});
+  b.array("B", {{0, 100002}});
+  b.array("C", {{0, 2}, {0, 40960}});
+  b.assign(b.ref("A", {b.idx(0)}),
+           loopir::Expr::add(b.read("B", {b.idx(0)}),
+                             b.read("C", {b.affine({0}, 1), b.idx(0)})));
+  return b.build();
+}
+
 TEST(FirstTouch, PlacementNeverChangesValues) {
-  loopir::LoopNest nest = core::skewed_extent(1 << 16);  // > 64 KiB arrays
-  exec::ArrayStore serial(nest, exec::ArrayStore::Placement::kSerial);
-  exec::ArrayStore touched(nest, exec::ArrayStore::Placement::kFirstTouch, 8);
-  EXPECT_TRUE(serial == touched);  // both all-zero
-  serial.fill_pattern();
-  touched.fill_pattern();
-  EXPECT_TRUE(serial == touched);
-  EXPECT_EQ(serial.checksum(), touched.checksum());
+  if (!stores_can_slice())
+    GTEST_SKIP() << "fewer than 2 usable cpus or no pinning: no store slices";
+  struct Case {
+    const char* name;
+    loopir::LoopNest nest;
+    // One element in the tail page of the last array: the last page of the
+    // last slice.
+    std::string tail_array;
+    intlin::Vec tail;
+  };
+  Case cases[] = {
+      {"skewed_extent", core::skewed_extent(1 << 16), "B", {1, 1 << 16}},
+      {"mixed_store", mixed_store_nest(), "C", {2, 40960}},
+  };
+  const std::size_t cpus = Topology::system().num_cpus();
+  for (Case& c : cases) {
+    const exec::ArrayStore zero(c.nest);
+    exec::ArrayStore filled(c.nest);
+    filled.fill_pattern();
+    const i64 filled_sum = filled.checksum();
+    exec::ArrayStore written = filled;
+    written.write(c.tail_array, c.tail, 12345);
+    const i64 written_sum = written.checksum();
+    ASSERT_NE(filled_sum, written_sum) << c.name;
+
+    for (exec::ArrayStore::Placement placement :
+         {exec::ArrayStore::Placement::kSerial,
+          exec::ArrayStore::Placement::kFirstTouch}) {
+      const bool touch = placement == exec::ArrayStore::Placement::kFirstTouch;
+      for (std::size_t threads : {1, 2, 3, 8}) {
+        SCOPED_TRACE(testing::Message()
+                     << c.name << ", " << (touch ? "first-touch" : "serial")
+                     << " x " << threads << " touch threads");
+        exec::ArrayStore store(c.nest, placement, threads);
+        EXPECT_EQ(store.slices(), touch ? std::min(threads, cpus) : 1u);
+        EXPECT_TRUE(store == zero);
+        store.fill_pattern();
+        EXPECT_TRUE(store == filled);
+        EXPECT_EQ(store.checksum(), filled_sum);
+        store.write(c.tail_array, c.tail, 12345);
+        EXPECT_TRUE(store == written);
+        EXPECT_EQ(store.checksum(), written_sum);
+      }
+    }
+  }
 }
 
 TEST(FirstTouch, ExecutionOverFirstTouchStoreMatchesReference) {
@@ -359,54 +421,6 @@ TEST(FirstTouch, TinyAndOddSizedArraysAreFullyZeroed) {
   EXPECT_TRUE(a == b);
 }
 
-
-/// A store mixing an array under the 64 KiB parallel threshold (A, 1000
-/// elements) with two above it whose sizes are not page multiples (B:
-/// 100003 elements, 163 in its tail page; C: 3 x 40961, 3 in its tail page).
-/// Name order A, B, C is also the digest's position order.
-loopir::LoopNest mixed_store_nest() {
-  loopir::LoopNestBuilder b;
-  b.loop("i", 0, 999);
-  b.array("A", {{0, 999}});
-  b.array("B", {{0, 100002}});
-  b.array("C", {{0, 2}, {0, 40960}});
-  b.assign(b.ref("A", {b.idx(0)}),
-           loopir::Expr::add(b.read("B", {b.idx(0)}),
-                             b.read("C", {b.affine({0}, 1), b.idx(0)})));
-  return b.build();
-}
-
-TEST(FirstTouch, SlicedPassesAreBitIdenticalAcrossPlacementsAndThreads) {
-  loopir::LoopNest nest = mixed_store_nest();
-  const exec::ArrayStore zero(nest);
-  exec::ArrayStore ref(nest);
-  ref.fill_pattern();
-  const i64 filled_sum = ref.checksum();
-  // One write into C's tail page, the last page of the last slice.
-  ref.write("C", {2, 40960}, 12345);
-  const i64 written_sum = ref.checksum();
-  ASSERT_NE(filled_sum, written_sum);
-
-  for (exec::ArrayStore::Placement placement :
-       {exec::ArrayStore::Placement::kSerial,
-        exec::ArrayStore::Placement::kFirstTouch}) {
-    for (std::size_t threads : {1, 2, 3, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << (placement == exec::ArrayStore::Placement::kSerial
-                           ? "serial"
-                           : "first-touch")
-                   << " x " << threads << " touch threads");
-      exec::ArrayStore store(nest, placement, threads);
-      EXPECT_TRUE(store == zero);
-      store.fill_pattern();
-      EXPECT_EQ(store.checksum(), filled_sum);
-      store.write("C", {2, 40960}, 12345);
-      EXPECT_TRUE(store == ref);
-      EXPECT_EQ(store.checksum(), written_sum);
-    }
-  }
-}
-
 /// The documented fill, written out independently of the store: element k
 /// of an array gets (k * 2654435761 + FNV-1a(name)) % 199 - 99.
 i64 documented_fill(const std::string& name, std::uint64_t k) {
@@ -424,8 +438,11 @@ std::uint64_t documented_mix(i64 v, std::uint64_t pos) {
 }
 
 TEST(FirstTouch, ParallelStoreMatchesDocumentedFillAndDigest) {
+  if (!stores_can_slice())
+    GTEST_SKIP() << "fewer than 2 usable cpus or no pinning: no store slices";
   loopir::LoopNest nest = mixed_store_nest();
   exec::ArrayStore store(nest, exec::ArrayStore::Placement::kFirstTouch, 3);
+  ASSERT_GE(store.slices(), 2u);
   store.fill_pattern();
   std::uint64_t digest = 0;
   std::uint64_t pos = 0;
