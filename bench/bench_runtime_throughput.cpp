@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,13 +423,14 @@ int run_trace_overhead(bool gate) {
 
 // ------------------------------------------------------ store lifecycle
 
-/// Construct + fill_pattern + checksum of inner_only(n)'s store (two
-/// arrays of n + 1 elements), serial placement versus first-touch slices
-/// at every usable cpu, for stores from 128 KiB (arrays at the 64 KiB
-/// slicing threshold) up to 64 MiB. Each row reports the median of `reps`
-/// repetitions per phase, serial and first-touch repetitions alternating
-/// so host drift hits both alike. Returns the number of sizes whose two
-/// digests differ.
+/// Construct + fill_pattern + checksum + destroy of inner_only(n)'s store
+/// (two arrays of n + 1 elements), serial placement versus first-touch
+/// slices at every usable cpu, for stores from 128 KiB (arrays at the
+/// 64 KiB slicing threshold) up to 128 MiB; the arrays of 1 to 64 MiB
+/// straddle the 32 MiB floor of mapped arrays (exec/array_store.h). Each
+/// row reports the median of `reps` repetitions per phase, serial and
+/// first-touch repetitions alternating so host drift hits both alike.
+/// Returns the number of sizes whose two digests differ.
 int run_store_lifecycle() {
   const std::size_t usable = topo::Topology::system().num_cpus();
   struct Mode {
@@ -445,29 +447,37 @@ int run_store_lifecycle() {
     return v[v.size() / 2];
   };
   int mismatches = 0;
-  for (const i64 n : {i64{8191}, i64{16383}, i64{65535}, i64{524287},
-                      i64{1} << 22}) {
+  for (const i64 n : {i64{8191}, i64{16383}, i64{65535}, (i64{1} << 17) - 1,
+                      (i64{1} << 18) - 1, (i64{1} << 19) - 1,
+                      (i64{1} << 20) - 1, (i64{1} << 21) - 1,
+                      (i64{1} << 22) - 1, (i64{1} << 23) - 1}) {
     const loopir::LoopNest nest = inner_only(n);
     // ~64 Mi elements touched per mode, at least 5 and at most 101 reps.
     const int reps = static_cast<int>(
         std::clamp<i64>((i64{1} << 26) / (2 * (n + 1)), 5, 101) | 1);
-    std::vector<double> construct[2], fill[2], checksum[2], total[2];
+    std::vector<double> construct[2], fill[2], checksum[2], release[2],
+        total[2];
     i64 digests[2] = {0, 0};
     for (int rep = 0; rep < reps; ++rep) {
       for (int m = 0; m < 2; ++m) {
         auto t0 = std::chrono::steady_clock::now();
-        exec::ArrayStore store(nest, modes[m].placement, modes[m].threads);
+        auto store = std::make_unique<exec::ArrayStore>(
+            nest, modes[m].placement, modes[m].threads);
         const double c = seconds_since(t0);
         t0 = std::chrono::steady_clock::now();
-        store.fill_pattern();
+        store->fill_pattern();
         const double f = seconds_since(t0);
         t0 = std::chrono::steady_clock::now();
-        digests[m] = store.checksum();
+        digests[m] = store->checksum();
         const double d = seconds_since(t0);
+        t0 = std::chrono::steady_clock::now();
+        store.reset();
+        const double r = seconds_since(t0);
         construct[m].push_back(c);
         fill[m].push_back(f);
         checksum[m].push_back(d);
-        total[m].push_back(c + f + d);
+        release[m].push_back(r);
+        total[m].push_back(c + f + d + r);
       }
     }
     for (int m = 0; m < 2; ++m)
@@ -476,11 +486,13 @@ int run_store_lifecycle() {
           "\"mode\":\"%s\",\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,"
           "\"bytes\":%lld,\"reps\":%d,\"seconds\":%.7f,"
           "\"seconds_construct\":%.7f,\"seconds_fill\":%.7f,"
-          "\"seconds_checksum\":%.7f,\"digest_match\":%s}\n",
+          "\"seconds_checksum\":%.7f,\"seconds_release\":%.7f,"
+          "\"digest_match\":%s}\n",
           modes[m].name, modes[m].threads, hw_threads(),
           static_cast<long long>(n), 2LL * (n + 1) * 8, reps,
           median(total[m]), median(construct[m]), median(fill[m]),
-          median(checksum[m]), digests[0] == digests[1] ? "true" : "false");
+          median(checksum[m]), median(release[m]),
+          digests[0] == digests[1] ? "true" : "false");
     if (digests[0] != digests[1]) {
       std::fprintf(stderr,
                    "FAIL: store_lifecycle n=%lld first-touch digest differs "

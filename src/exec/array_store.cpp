@@ -1,12 +1,23 @@
 #include "exec/array_store.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <new>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+
+// ASAN_(UN)POISON_MEMORY_REGION are no-ops in builds without ASan.
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#define ASAN_UNPOISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#endif
 
 #include "support/error.h"
 #include "topo/affinity.h"
@@ -17,8 +28,12 @@ namespace vdep::exec {
 namespace {
 
 /// First-touch granularity: whole pages, so two touch threads never split
-/// ownership of one page.
-constexpr std::size_t kPageElems = 4096 / sizeof(i64);
+/// ownership of one page. Mapped arrays are cut at huge-page boundaries.
+constexpr std::size_t kPage = 4096;
+constexpr std::size_t kHugePage = std::size_t{2} << 20;
+/// Stagger step between the arrays of one store: a page plus a cache line,
+/// so the arrays differ in their offset mod 2 MiB and mod 4 KiB alike.
+constexpr std::size_t kStagger = kPage + 64;
 /// Arrays under this (64 KiB, 16 pages) go whole to worker 0 rather than
 /// being cut into slices of a page or two.
 constexpr std::size_t kParallelMinElems = (64u << 10) / sizeof(i64);
@@ -42,14 +57,73 @@ std::string byte_count(std::size_t count) {
   return std::to_string(bytes) + " bytes";
 }
 
+std::size_t address_of(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+/// Length of the mapping of an array of `bytes` bytes at stagger `lead`:
+/// whole huge pages, so each can be backed by one 2 MiB page.
+std::size_t mapping_bytes(std::size_t lead, std::size_t bytes) {
+  return (lead + bytes + kHugePage - 1) / kHugePage * kHugePage;
+}
+
+/// Whether `b` lives in its own fresh mapping (UninitAlloc's large path).
+bool mapped(const ArrayStore::Buffer& b) {
+  return ArrayStore::Buffer::allocator_type::mapped(b.capacity());
+}
+
 }  // namespace
+
+namespace detail {
+
+// An array at stagger `lead` lives at base + lead in the mapping
+// [base, base + mapping_bytes(lead, bytes)), base 2 MiB-aligned. ASan does
+// not track mmap memory, so the stagger prefix and the tail slack are
+// poisoned to keep out-of-bounds accesses reported.
+
+void* map_array(std::size_t bytes, std::size_t colour) {
+  const std::size_t lead = colour * kStagger % kHugePage;
+  const std::size_t len = mapping_bytes(lead, bytes);
+  // Over-reserve by one huge page, then trim to the aligned window.
+  void* raw = ::mmap(nullptr, len + kHugePage, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  char* const first = static_cast<char*>(raw);
+  const std::size_t head =
+      (kHugePage - address_of(first) % kHugePage) % kHugePage;
+  char* const base = first + head;
+  if (head != 0) ::munmap(first, head);
+  ::munmap(base + len, kHugePage - head);
+  // Best effort: without THP support (EINVAL) the array keeps 4 KiB pages.
+  ::madvise(base, len, MADV_HUGEPAGE);
+  ASAN_POISON_MEMORY_REGION(base, lead);
+  ASAN_POISON_MEMORY_REGION(base + lead + bytes, len - lead - bytes);
+  return base + lead;
+}
+
+void unmap_array(void* p, std::size_t bytes) noexcept {
+  char* const start = static_cast<char*>(p);
+  const std::size_t lead = address_of(start) % kHugePage;
+  char* const base = start - lead;
+  const std::size_t len = mapping_bytes(lead, bytes);
+  ASAN_UNPOISON_MEMORY_REGION(base, len);
+  ::munmap(base, len);
+}
+
+}  // namespace detail
 
 ArrayStore::ArrayStore(const loopir::LoopNest& nest, Placement placement,
                        std::size_t touch_threads) {
+  const std::vector<loopir::ArrayDecl>& arrays = nest.arrays();
   std::size_t sliceable = 0;
-  for (const loopir::ArrayDecl& a : nest.arrays()) {
-    Slot s;
-    s.decl = a;
+  for (const loopir::ArrayDecl& a : arrays) {
+    // The stagger colour is the array's rank in name order. Each buffer is
+    // allocated before its map node, as heap placement (and so glibc's
+    // trimming of the heap top) depends on that order.
+    const auto colour = static_cast<std::size_t>(std::count_if(
+        arrays.begin(), arrays.end(),
+        [&](const loopir::ArrayDecl& b) { return b.name < a.name; }));
+    Slot s{a, Buffer(UninitAlloc<i64>(colour))};
     const auto count = static_cast<std::size_t>(a.element_count());
     // resize() with UninitAlloc maps the pages without writing them; the
     // zeroing pass below performs the first (placement-deciding) touch.
@@ -78,7 +152,16 @@ ArrayStore::ArrayStore(const loopir::LoopNest& nest, Placement placement,
     slices_ = threads;
   for_each_slice(*this, [](std::size_t, Slot& s, std::uint64_t,
                            std::size_t lo, std::size_t hi) {
-    std::memset(s.data.data() + lo, 0, (hi - lo) * sizeof(i64));
+    i64* p = s.data.data();
+    if (!mapped(s.data)) {
+      std::memset(p + lo, 0, (hi - lo) * sizeof(i64));
+      return;
+    }
+    // A fresh mapping reads zero already: write one element per page, the
+    // write that places it, instead of zeroing it a second time.
+    for (std::size_t k = lo; k < hi;
+         k += (kPage - address_of(p + k) % kPage) / sizeof(i64))
+      p[k] = 0;
   });
 }
 
@@ -92,13 +175,19 @@ void ArrayStore::for_each_slice(Self& self, const Fn& fn) {
       if (slices <= 1 || count < kParallelMinElems) {
         if (k == 0 && count > 0) fn(k, s, offset, 0, count);
       } else {
-        // Page-aligned contiguous slices in worker order: worker k's slice
-        // is the one the driver's position-ordered pre-seed will hand it.
-        const std::size_t pages = (count + kPageElems - 1) / kPageElems;
-        const std::size_t lo =
-            std::min(count, pages * k / slices * kPageElems);
-        const std::size_t hi =
-            std::min(count, pages * (k + 1) / slices * kPageElems);
+        // Contiguous slices in worker order, cut at page boundaries (huge
+        // pages for a mapped array): worker k's slice is the one the
+        // driver's position-ordered pre-seed will hand it.
+        const std::size_t unit = mapped(s.data) ? kHugePage : kPage;
+        const std::size_t lead = address_of(s.data.data()) % unit;
+        const std::size_t units =
+            (lead + count * sizeof(i64) + unit - 1) / unit;
+        auto cut = [&](std::size_t j) {
+          const std::size_t at = units * j / slices * unit;
+          return at <= lead ? 0 : std::min(count, (at - lead) / sizeof(i64));
+        };
+        const std::size_t lo = cut(k);
+        const std::size_t hi = cut(k + 1);
         if (hi > lo) fn(k, s, offset, lo, hi);
       }
       offset += count;

@@ -248,6 +248,26 @@ TEST(Compiler, UnallocatableStoreIsAPreconditionError) {
   EXPECT_EQ(b.error().kind, ErrorKind::kPrecondition);
 }
 
+TEST(Compiler, UnmappableStoreIsAPreconditionError) {
+  // 2^44 elements (128 TiB): under max_size(), so resize() reaches the
+  // store's mapping allocator, but beyond a 47-bit address space, so mmap
+  // fails under any overcommit mode.
+  LoopNest nest = dsl::try_parse_loop_nest(
+                      "array A[0:17592186044415]\n"
+                      "do i = 0, 3\n"
+                      "  A[i] = A[i] + 1\n"
+                      "enddo\n")
+                      .value();
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(nest).value();
+  Expected<ExecReport> r = loop.check();
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition);
+  EXPECT_NE(r.error().message.find("array A"), std::string::npos);
+  EXPECT_NE(r.error().message.find("140737488355328 bytes"), std::string::npos)
+      << r.error().message;
+}
+
 TEST(Expected, ValueOrAndMonadicComposition) {
   Expected<int> ok = 3;
   Expected<int> err = ApiError{ErrorKind::kUnsupported, "nope"};

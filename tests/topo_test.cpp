@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -351,6 +352,41 @@ loopir::LoopNest mixed_store_nest() {
   return b.build();
 }
 
+/// A store of `arrays` one-dimensional arrays A0, A1, ... of `count`
+/// elements each (name order = index order for up to ten arrays).
+loopir::LoopNest flat_store_nest(int arrays, i64 count) {
+  loopir::LoopNestBuilder b;
+  b.loop("i", 0, count - 1);
+  for (int k = 0; k < arrays; ++k)
+    b.array("A" + std::to_string(k), {{0, count - 1}});
+  b.assign(b.ref("A0", {b.idx(0)}),
+           b.read("A" + std::to_string(arrays - 1), {b.idx(0)}));
+  return b.build();
+}
+
+/// Elements of an array just below and just above the mapping floor.
+constexpr i64 kBelowMapped = exec::detail::kMappedMinBytes / 8 - 1;
+constexpr i64 kAboveMapped = exec::detail::kMappedMinBytes / 8 + 3;
+constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+
+/// A 1000-element heap array A and a mapped array B.
+loopir::LoopNest mapped_store_nest() {
+  loopir::LoopNestBuilder b;
+  b.loop("i", 0, 999);
+  b.array("A", {{0, 999}});
+  b.array("B", {{0, kAboveMapped - 1}});
+  b.assign(b.ref("A", {b.idx(0)}), b.read("B", {b.idx(0)}));
+  return b.build();
+}
+
+bool is_mapped(const exec::ArrayStore::Buffer& b) {
+  return exec::ArrayStore::Buffer::allocator_type::mapped(b.capacity());
+}
+
+std::uintptr_t huge_page_offset(const exec::ArrayStore::Buffer& b) {
+  return reinterpret_cast<std::uintptr_t>(b.data()) % kHugePage;
+}
+
 TEST(FirstTouch, PlacementNeverChangesValues) {
   if (!stores_can_slice())
     GTEST_SKIP() << "fewer than 2 usable cpus or no pinning: no store slices";
@@ -365,6 +401,9 @@ TEST(FirstTouch, PlacementNeverChangesValues) {
   Case cases[] = {
       {"skewed_extent", core::skewed_extent(1 << 16), "B", {1, 1 << 16}},
       {"mixed_store", mixed_store_nest(), "C", {2, 40960}},
+      // A mapped array at a nonzero stagger (B sorts after A): slices cut
+      // at 2 MiB boundaries, touch-only zeroing.
+      {"mapped_store", mapped_store_nest(), "B", {kAboveMapped - 1}},
   };
   const std::size_t cpus = Topology::system().num_cpus();
   for (Case& c : cases) {
@@ -458,6 +497,126 @@ TEST(FirstTouch, ParallelStoreMatchesDocumentedFillAndDigest) {
   }
   EXPECT_EQ(pos, 1000u + 100003u + 3u * 40961u);
   EXPECT_EQ(store.checksum(), static_cast<i64>(digest));
+}
+
+TEST(FirstTouch, LargeArraysHaveDistinctHugePageOffsets) {
+  // Two arrays at one offset mod 2 MiB alias in every cache and TLB set a
+  // lockstep loop touches; the stagger keeps them apart.
+  loopir::LoopNestBuilder b;
+  b.loop("i", 0, 9);
+  b.array("small", {{0, 99}});
+  for (const char* name : {"A", "B", "C"})
+    b.array(name, {{0, kAboveMapped - 1}});
+  b.assign(b.ref("A", {b.idx(0)}), b.read("small", {b.idx(0)}));
+  const exec::ArrayStore store(b.build());
+  std::set<std::uintptr_t> offsets;
+  for (const char* name : {"A", "B", "C"}) {
+    const exec::ArrayStore::Buffer& buf = store.raw(name);
+    ASSERT_TRUE(is_mapped(buf)) << name;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 64, 0u) << name;
+    EXPECT_TRUE(offsets.insert(huge_page_offset(buf)).second)
+        << name << " shares its offset mod 2 MiB";
+  }
+}
+
+TEST(FirstTouch, StoreAfterFilledStoreReadsZero) {
+  // Heap arrays may be recycled memory and need their memset; mapped
+  // arrays skip it. A store built where a filled one just died must read
+  // zero. 4096-element arrays come back from malloc's free lists dirty;
+  // the other two sizes sit on either side of the mapping floor.
+  using Placement = exec::ArrayStore::Placement;
+  for (const i64 count : {i64{4096}, kBelowMapped, kAboveMapped}) {
+    const loopir::LoopNest nest = flat_store_nest(2, count);
+    for (Placement placement : {Placement::kSerial, Placement::kFirstTouch}) {
+      SCOPED_TRACE(testing::Message()
+                   << count << " elements, "
+                   << (placement == Placement::kSerial ? "serial"
+                                                       : "first-touch"));
+      {
+        exec::ArrayStore filled(nest, placement, 4);
+        filled.fill_pattern();
+      }
+      const exec::ArrayStore store(nest, placement, 4);
+      for (const std::string name : {"A0", "A1"}) {
+        const exec::ArrayStore::Buffer& buf = store.raw(name);
+        EXPECT_EQ(is_mapped(buf), count == kAboveMapped) << name;
+        const auto nonzero = static_cast<std::size_t>(std::count_if(
+            buf.begin(), buf.end(), [](i64 v) { return v != 0; }));
+        EXPECT_EQ(nonzero, 0u) << name;
+      }
+    }
+  }
+}
+
+TEST(FirstTouch, CopiedStoreKeepsValuesAndLayout) {
+  const loopir::LoopNest nest = flat_store_nest(2, kAboveMapped);
+  exec::ArrayStore store(nest, exec::ArrayStore::Placement::kFirstTouch);
+  store.fill_pattern();
+  const exec::ArrayStore copy = store;
+  EXPECT_TRUE(copy == store);
+  EXPECT_EQ(copy.checksum(), store.checksum());
+  for (const std::string name : {"A0", "A1"}) {
+    ASSERT_TRUE(is_mapped(copy.raw(name))) << name;
+    EXPECT_NE(copy.raw(name).data(), store.raw(name).data()) << name;
+    EXPECT_EQ(huge_page_offset(copy.raw(name)),
+              huge_page_offset(store.raw(name)))
+        << name << ": the copy lost its stagger";
+  }
+}
+
+/// AnonHugePages (kB) of the /proc/self/smaps mapping holding `addr`, or
+/// -1 when no mapping holds it.
+long anon_huge_kb(std::uintptr_t addr) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+      continue;
+    }
+    long kb = 0;
+    if (inside && std::sscanf(line.c_str(), "AnonHugePages: %ld kB", &kb) == 1)
+      return kb;
+  }
+  return -1;
+}
+
+TEST(FirstTouch, LargeArraysAreBackedByHugePages) {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(thp, mode);
+  if (mode.empty() || mode.find("[never]") != std::string::npos)
+    GTEST_SKIP() << "transparent huge pages unavailable (\"" << mode
+                 << "\"): mapped arrays keep 4 KiB pages";
+  const exec::ArrayStore store(flat_store_nest(1, kAboveMapped));
+  const exec::ArrayStore::Buffer& buf = store.raw("A0");
+  ASSERT_TRUE(is_mapped(buf));
+  EXPECT_GT(anon_huge_kb(reinterpret_cast<std::uintptr_t>(buf.data())), 0)
+      << "THP mode \"" << mode << "\"";
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define VDEP_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define VDEP_TEST_ASAN 1
+#endif
+#endif
+
+TEST(FirstTouch, WritePastMappedArrayIsReported) {
+#ifndef VDEP_TEST_ASAN
+  GTEST_SKIP() << "needs AddressSanitizer: mapped arrays are unchecked "
+                  "without it";
+#else
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  exec::ArrayStore store(flat_store_nest(2, kAboveMapped));
+  exec::ArrayStore::Buffer& buf = store.raw_mutable("A1");
+  ASSERT_TRUE(is_mapped(buf));
+  i64* volatile end = buf.data() + buf.size();
+  EXPECT_DEATH(*end = 1, "AddressSanitizer");
+#endif
 }
 
 }  // namespace
