@@ -6,8 +6,8 @@
 // (one fork/join per request, parallelism limited to what a single small
 // request exposes). The batch path hands all requests to execute_batch,
 // which seeds every request's descriptors into one shared work-stealing
-// scheduler (runtime/batch_executor.h): one fork/join per *batch* and the
-// whole batch's parallelism keeping the workers fed.
+// run (runtime/driver.h, one source per request): one fork/join per
+// *batch* and the whole batch's parallelism keeping the workers fed.
 //
 // Output is one JSON object per line (scraped into BENCH_runtime.json):
 //   {"bench":"batch_serving","scenario":...,"mode":"baseline|batch",
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       std::vector<exec::ArrayStore*> ptrs;
       ptrs.reserve(stores.size());
       for (auto& s : stores) ptrs.push_back(&s);
-      Expected<std::vector<ExecReport>> r = loop.execute_batch(ptrs, policy, pool);
+      Expected<std::vector<ExecReport>> r = loop.execute_batch(ptrs, policy, &pool);
       if (!r) return false;
       for (const ExecReport& rep : *r) sums.push_back(rep.checksum);
       return true;
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
     reset();
     bool native = true;
     {
-      Expected<std::vector<ExecReport>> r = loop.execute_batch(ptrs, gp, pool);
+      Expected<std::vector<ExecReport>> r = loop.execute_batch(ptrs, gp, &pool);
       if (!r) {
         native = false;
       } else {
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
 
     Measure batch = repeat(reqs, 0.2, 200, [&](std::vector<i64>&) {
       reset();
-      return loop.execute_batch(ptrs, gp, pool).has_value();
+      return loop.execute_batch(ptrs, gp, &pool).has_value();
     });
 
     bool identical = baseline.ok && batch.ok;
@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
     });
     Measure batch = repeat(reqs, 0.2, 20, [&](std::vector<i64>& sums) {
       Expected<std::vector<ExecReport>> r =
-          loop.execute_batch(bounds, policy, pool);
+          loop.execute_batch(bounds, policy, &pool);
       if (!r) return false;
       for (const ExecReport& rep : *r) sums.push_back(rep.checksum);
       return true;

@@ -3,10 +3,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "exec/compiled.h"
-#include "runtime/batch_executor.h"
+#include "runtime/stream_executor.h"
 #include "support/error.h"
 
 namespace vdep {
@@ -31,15 +32,12 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
     std::span<const BatchRequest> requests, const ExecPolicy& policy,
     vdep::ThreadPool* pool) {
   try {
-    if (policy.mode() != ExecMode::kStreaming)
-      throw PreconditionError(
-          "execute_batch: only ExecMode::kStreaming is supported (the batch "
-          "scheduler is the streaming runtime)");
     if (policy.backend() == ExecBackend::kInspector)
       throw UnsupportedError(
           "execute_batch: the inspector backend partitions per store "
           "(classes depend on index-array contents), which the shared batch "
           "scheduler cannot express; execute each request individually");
+    const bool interpret = policy.backend() == ExecBackend::kInterpreter;
 
     std::size_t threads =
         policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
@@ -58,7 +56,8 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
     std::vector<std::unique_ptr<exec::ArrayStore>> owned_stores;
     std::vector<std::shared_ptr<const jit::NativeKernel>> kernels(
         requests.size());
-    std::vector<runtime::BatchSource> sources;
+    std::vector<exec::ArrayStore*> stores(requests.size());
+    std::vector<runtime::DriveSource> sources;
     sources.reserve(requests.size());
 
     for (std::size_t k = 0; k < requests.size(); ++k) {
@@ -97,7 +96,7 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
         so.num_threads = threads;
         so.grain = policy.grain();
         so.split_dims = policy.split_dims();
-        so.force_interpreter = policy.interpreter_only();
+        so.force_interpreter = interpret;
         so.trace = policy.trace();
         so.metrics = policy.metrics();
         so.pin_workers = policy.pin_workers();
@@ -111,7 +110,7 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
               req.loop.jit(policy.jit_options());
           if (nk) group.native = *nk;
         }
-        if (!group.native && !policy.interpreter_only()) {
+        if (!group.native && !interpret) {
           try {
             // Scan-path prototype, only when no native kernel runs the
             // group's leaves. Compiled against the group's first store;
@@ -127,20 +126,28 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
       }
 
       kernels[k] = group.native;
-      sources.push_back({group.executor.get(), store, group.native.get(),
-                         group.prototype.get()});
+      stores[k] = store;
+      const runtime::StreamExecutor& ex = *group.executor;
+      sources.push_back({ex.root(), ex.grain(), ex.split_prefs(),
+                         ex.make_leaf_factory(*store, group.native.get(),
+                                              group.prototype.get())});
     }
 
-    runtime::BatchStats bs =
-        runtime::run_batch(sources, threads, pool, policy.pin_workers());
-    if (bs.error) {
+    runtime::DriveOptions d;
+    d.threads = threads ? threads
+                        : std::max(1u, std::thread::hardware_concurrency());
+    d.trace = policy.trace();
+    d.metrics = policy.metrics();
+    d.pin_workers = policy.pin_workers();
+    runtime::RuntimeStats rs = runtime::drive_descriptors(sources, d, pool);
+    if (rs.error) {
       try {
-        std::rethrow_exception(bs.error);
+        std::rethrow_exception(rs.error);
       } catch (const Error& e) {
         ApiError err = detail::classify(e);
-        err.index = static_cast<int>(bs.error_source);
+        err.index = static_cast<int>(rs.error_source);
         err.message = "execute_batch: request " +
-                      std::to_string(bs.error_source) + ": " + err.message;
+                      std::to_string(rs.error_source) + ": " + err.message;
         return err;
       }
       // Non-library exceptions (bad_alloc, ...) propagate to the caller.
@@ -148,18 +155,18 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
 
     std::vector<ExecReport> reports(requests.size());
     for (std::size_t k = 0; k < requests.size(); ++k) {
-      const runtime::SourceStats& s = bs.sources[k];
+      const runtime::SourceStats& s = rs.sources[k];
       ExecReport& rep = reports[k];
-      rep.iterations = s.iterations;
-      rep.tasks = s.tasks;
-      rep.steals = s.steals;
-      rep.inner_splits = s.inner_splits;
+      rep.iterations = s.counters.iterations;
+      rep.tasks = s.counters.tasks;
+      rep.steals = s.counters.steals;
+      rep.inner_splits = runtime::inner_splits(s.counters);
       rep.wall_ns = s.done_ns;
       rep.queue_ns = s.queue_ns;
       // This request's in-flight time: completion minus the wait behind
       // the rest of the batch.
       rep.exec_ns = s.done_ns > s.queue_ns ? s.done_ns - s.queue_ns : 0;
-      if (policy.digest()) rep.checksum = sources[k].store->checksum();
+      if (policy.digest()) rep.checksum = stores[k]->checksum();
       rep.jit = kernels[k] != nullptr;
     }
     return reports;
@@ -217,29 +224,17 @@ std::vector<BatchRequest> store_requests(
 }  // namespace
 
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
-    std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy) const {
-  return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
-    return execute_batch_impl(reqs, policy, nullptr);
-  });
-}
-
-Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy,
-    vdep::ThreadPool& pool) const {
+    vdep::ThreadPool* pool) const {
   return rebind_requests(*this, bounds).and_then([&](const auto& reqs) {
-    return execute_batch_impl(reqs, policy, &pool);
+    return execute_batch_impl(reqs, policy, pool);
   });
-}
-
-Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
-    std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy) const {
-  return execute_batch_impl(store_requests(*this, stores), policy, nullptr);
 }
 
 Expected<std::vector<ExecReport>> CompiledLoop::execute_batch(
     std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy,
-    vdep::ThreadPool& pool) const {
-  return execute_batch_impl(store_requests(*this, stores), policy, &pool);
+    vdep::ThreadPool* pool) const {
+  return execute_batch_impl(store_requests(*this, stores), policy, pool);
 }
 
 }  // namespace vdep

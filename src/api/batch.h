@@ -4,9 +4,10 @@
 // structure analyzed once, executed at thousands of bounds by many
 // concurrent requests. compile_all (api/compiler.h) amortizes the analysis
 // across a batch; execute_batch amortizes the *execution* — every request's
-// descriptors are seeded into one shared set of work-stealing deques
-// (runtime/batch_executor.h) so small requests interleave across workers
-// instead of running serially, each with a full fork/join of its own.
+// descriptors are seeded into one shared set of work-stealing deques (each
+// request is a source of one runtime::drive_descriptors run) so small
+// requests interleave across workers instead of running serially, each
+// with a full fork/join of its own.
 //
 //   vdep::Compiler compiler;
 //   auto loops = compiler.compile_all(nests);          // 1 analysis/structure
@@ -35,8 +36,8 @@ struct BatchRequest {
 };
 
 /// Executes every request over one shared worker set (policy.threads()
-/// contexts, 0 = hardware). Streaming only — policy.mode() must be
-/// kStreaming (kPrecondition otherwise); backends follow the policy, and
+/// contexts, 0 = hardware). Backends follow the policy (kInspector is
+/// refused with kUnsupported: its classes depend on each store), and
 /// with ExecBackend::kJit each request resolves its native kernel through
 /// the shared PlanArtifact memo, so same-structure same-bounds requests
 /// reuse one loaded .so across the whole batch. On a request failure the

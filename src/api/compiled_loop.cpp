@@ -3,7 +3,6 @@
 #include <chrono>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "codegen/rewrite.h"
 #include "exec/array_store.h"
@@ -183,13 +182,8 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
     const bool non_affine = !art_->analysis().affine;
     const bool use_inspector =
         non_affine || policy.backend() == ExecBackend::kInspector;
+    const bool interpret = policy.backend() == ExecBackend::kInterpreter;
     if (use_inspector) {
-      if (policy.mode() != ExecMode::kStreaming)
-        throw UnsupportedError(
-            non_affine
-                ? "materialized mode cannot run indirect subscripts; use "
-                  "streaming (the inspector backend)"
-                : "ExecBackend::kInspector is a streaming backend");
       std::optional<inspect::DynamicPartition> part;
       {
         obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
@@ -221,7 +215,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       io.num_threads =
           policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
       io.grain = policy.grain();
-      io.force_interpreter = policy.interpreter_only();
+      io.force_interpreter = interpret;
       io.trace = policy.trace();
       io.metrics = policy.metrics();
       io.pin_workers = policy.pin_workers();
@@ -229,7 +223,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       runtime::RuntimeStats rs;
       {
         obs::PhaseTimer run_timer(obs::Phase::kExec);
-        rs = pool ? ex.run(store, *pool) : ex.run(store);
+        rs = ex.run(store, pool);
       }
       rep.iterations = rs.total_iterations();
       rep.tasks = rs.total_tasks();
@@ -242,13 +236,13 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       rep.inspector_chains = st.chains;
       rep.inspector_max_component = st.max_component;
       rep.inspector_dependent = st.dependent_iterations;
-    } else if (policy.mode() == ExecMode::kStreaming) {
+    } else {
       runtime::StreamOptions so;
       so.num_threads =
           policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
       so.grain = policy.grain();
       so.split_dims = policy.split_dims();
-      so.force_interpreter = policy.interpreter_only();
+      so.force_interpreter = interpret;
       so.trace = policy.trace();
       so.metrics = policy.metrics();
       so.pin_workers = policy.pin_workers();
@@ -272,12 +266,10 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       runtime::RuntimeStats rs;
       {
         obs::PhaseTimer run_timer(obs::Phase::kExec);
+        rs = ex->run(store, native.get(), pool);
         if (native) {
-          rs = pool ? ex->run(store, *native, *pool) : ex->run(store, *native);
           rep.jit = true;
           rep.jit_partitioned = native->partitioned();
-        } else {
-          rs = pool ? ex->run(store, *pool) : ex->run(store);
         }
       }
       rep.iterations = rs.total_iterations();
@@ -286,20 +278,6 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       rep.inner_splits = rs.total_inner_splits();
       rep.failed_steals = rs.total_failed_steals();
       rep.idle_ns = rs.total_idle_ns();
-    } else {
-      exec::RunStats rs;
-      obs::PhaseTimer run_timer(obs::Phase::kExec);
-      if (pool) {
-        rs = exec::run_parallel(*nest_, art_->plan().transform, store, *pool);
-      } else {
-        std::size_t threads = policy.threads()
-                                  ? policy.threads()
-                                  : std::max(1u, std::thread::hardware_concurrency());
-        vdep::ThreadPool local(threads);
-        rs = exec::run_parallel(*nest_, art_->plan().transform, store, local);
-      }
-      rep.iterations = rs.iterations;
-      rep.tasks = rs.work_items;
     }
     rep.analyze_ns = phases.ns(obs::Phase::kAnalyze);
     rep.codegen_ns = phases.ns(obs::Phase::kCodegen);

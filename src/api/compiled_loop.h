@@ -6,7 +6,7 @@
 //   analysis()  PDM + rank (Section 2)            — structure-only, cached
 //   plan()      TransformPlan + legality cert     — structure-only, cached
 //   codegen()   emitted C, memoized per option    — lazy, bounds enter here
-//   execute()   streaming/materialized run        — bounds + data enter here
+//   execute()   streaming run                     — bounds + data enter here
 //   check()     execute + bit-exact verification against sequential
 //
 // A handle = {shared PlanArtifact, concrete bounded nest}. The artifact is
@@ -68,13 +68,7 @@ class CodegenOptions {
   std::string kernel_name_ = "kernel";
 };
 
-/// How execute()/check() run the plan.
-enum class ExecMode {
-  kStreaming,     ///< runtime::StreamExecutor, O(active descriptors) state
-  kMaterialized,  ///< exec::build_schedule + ThreadPool replay
-};
-
-/// What runs the loop bodies (streaming mode).
+/// What runs the loop bodies.
 enum class ExecBackend {
   kCompiled,     ///< postfix exec::CompiledKernel, interpreter fallback
   kInterpreter,  ///< exact tree-walking interpreter, always
@@ -87,26 +81,20 @@ enum class ExecBackend {
                  ///< here automatically whatever the policy says
 };
 
-/// Builder-style execution policy (replaces core::Options::exec_mode and
-/// the ad-hoc StreamOptions plumbing at the API boundary).
+/// Builder-style execution policy (replaces the ad-hoc StreamOptions
+/// plumbing at the API boundary).
 class ExecPolicy {
  public:
-  ExecPolicy& mode(ExecMode m) { mode_ = m; return *this; }
   ExecPolicy& threads(std::size_t t) { threads_ = t; return *this; }
   ExecPolicy& grain(i64 g) { grain_ = g; return *this; }
   /// How many transformed DOALL-prefix dimensions descriptors may box and
   /// split (runtime/task.h). 0 = all (default); 1 reproduces the legacy
-  /// outer-only splitter. Streaming mode only.
+  /// outer-only splitter.
   ExecPolicy& split_dims(int n) { split_dims_ = n; return *this; }
   ExecPolicy& backend(ExecBackend b) { backend_ = b; return *this; }
   /// Whether ExecReport.checksum is computed (a full store scan per
   /// request — diagnostics; serving paths turn it off).
   ExecPolicy& digest(bool v) { digest_ = v; return *this; }
-  /// Deprecated spelling of backend(kInterpreter).
-  ExecPolicy& interpreter_only(bool v = true) {
-    backend_ = v ? ExecBackend::kInterpreter : ExecBackend::kCompiled;
-    return *this;
-  }
   /// Toolchain/flag options used when backend() == kJit.
   ExecPolicy& jit_options(jit::JitOptions o) { jit_ = std::move(o); return *this; }
   /// Allow this execution to emit events into the global obs::TraceRecorder
@@ -129,12 +117,10 @@ class ExecPolicy {
     return *this;
   }
 
-  ExecMode mode() const { return mode_; }
   std::size_t threads() const { return threads_; }  ///< 0 = hardware
   i64 grain() const { return grain_; }              ///< 0 = automatic
   int split_dims() const { return split_dims_; }    ///< 0 = all
   ExecBackend backend() const { return backend_; }
-  bool interpreter_only() const { return backend_ == ExecBackend::kInterpreter; }
   const jit::JitOptions& jit_options() const { return jit_; }
   bool digest() const { return digest_; }
   bool trace() const { return trace_; }
@@ -144,7 +130,6 @@ class ExecPolicy {
   exec::ArrayStore::Placement placement() const { return placement_; }
 
  private:
-  ExecMode mode_ = ExecMode::kStreaming;
   std::size_t threads_ = 0;
   i64 grain_ = 0;
   int split_dims_ = 0;
@@ -184,11 +169,11 @@ struct LoopPlan {
 /// Outcome of execute()/check().
 struct ExecReport {
   i64 iterations = 0;
-  i64 tasks = 0;   ///< work items (materialized) or leaf descriptors (streaming)
-  i64 steals = 0;  ///< streaming only
-  i64 inner_splits = 0;  ///< descriptor splits along inner DOALL axes (streaming)
-  i64 failed_steals = 0; ///< empty full steal sweeps (streaming)
-  i64 idle_ns = 0;       ///< summed worker idle time (streaming)
+  i64 tasks = 0;         ///< leaf descriptors executed
+  i64 steals = 0;        ///< descriptors stolen from another worker's deque
+  i64 inner_splits = 0;  ///< descriptor splits along inner DOALL axes
+  i64 failed_steals = 0; ///< empty full steal sweeps (single runs)
+  i64 idle_ns = 0;       ///< summed worker idle time (single runs)
   i64 wall_ns = 0;
   /// Phase breakdown of wall_ns (obs::PhaseScope): executor construction
   /// (rewrite + hull + kernel build), C emission, cc + dlopen, and the
@@ -307,7 +292,9 @@ class CompiledLoop {
   /// Errors (kPrecondition) when `bounds` has a different structure.
   Expected<CompiledLoop> at(const loopir::LoopNest& bounds) const;
 
-  /// Runs the plan over `store` (which must have been built for nest()).
+  /// Runs the plan over `store` (which must have been built for nest())
+  /// through the streaming runtime (runtime::StreamExecutor), or the
+  /// inspector for ExecBackend::kInspector and non-affine nests.
   Expected<ExecReport> execute(const ExecPolicy& policy,
                                exec::ArrayStore& store) const;
   /// Same, reusing a long-lived pool for the workers.
@@ -319,27 +306,22 @@ class CompiledLoop {
   /// artifact at every entry of `bounds` (CompiledLoop::at semantics —
   /// errors kPrecondition with the entry's index when a nest has a
   /// different structure), allocates a pattern-filled store per request
-  /// and runs all of them over ONE shared worker set: every request's
-  /// descriptors interleave in the same work-stealing deques
-  /// (runtime/batch_executor.h), so the batch — not any single request —
-  /// feeds the workers, and the fork/join cost is paid once. Streaming
-  /// only. Reports are per request (iterations, steals, completion time,
-  /// checksum of the request's final store).
+  /// and runs all of them over ONE shared worker set: every request is a
+  /// source of one runtime::drive_descriptors run, so its descriptors
+  /// interleave with the others' in the same work-stealing deques and the
+  /// batch — not any single request — feeds the workers; the fork/join
+  /// cost is paid once. Reports are per request (iterations, steals,
+  /// completion time, checksum of the request's final store). With `pool`
+  /// set, the workers are its threads plus the caller.
   Expected<std::vector<ExecReport>> execute_batch(
-      std::span<const loopir::LoopNest> bounds,
-      const ExecPolicy& policy = {}) const;
-  Expected<std::vector<ExecReport>> execute_batch(
-      std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy,
-      vdep::ThreadPool& pool) const;
+      std::span<const loopir::LoopNest> bounds, const ExecPolicy& policy = {},
+      vdep::ThreadPool* pool = nullptr) const;
 
   /// Batch execution, one bounds at many data sets (the serving hot case):
   /// every store must have been built for nest(). Caller keeps ownership.
   Expected<std::vector<ExecReport>> execute_batch(
-      std::span<exec::ArrayStore* const> stores,
-      const ExecPolicy& policy = {}) const;
-  Expected<std::vector<ExecReport>> execute_batch(
-      std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy,
-      vdep::ThreadPool& pool) const;
+      std::span<exec::ArrayStore* const> stores, const ExecPolicy& policy = {},
+      vdep::ThreadPool* pool = nullptr) const;
 
   /// Executes the plan and the sequential reference from the same
   /// deterministic initial store; errors (kInternal) on any bitwise

@@ -12,10 +12,11 @@
 //
 // This is the *materialized* path: build_schedule stores every iteration
 // vector of every item — O(total_iterations x depth) memory — which is
-// what exec::verify_schedule needs to inspect a schedule structurally.
-// For actually running large spaces prefer runtime::StreamExecutor
-// (runtime/stream_executor.h), which covers the same work-item rectangle
-// with O(active descriptors) state and work stealing.
+// what exec::verify_schedule needs to inspect a schedule structurally. It
+// is an analysis and bench tool: every API execution runs through
+// runtime::StreamExecutor (runtime/stream_executor.h), which covers the
+// same work-item rectangle with O(active descriptors) state and work
+// stealing.
 #pragma once
 
 #include "codegen/rewrite.h"

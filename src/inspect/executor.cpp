@@ -35,8 +35,8 @@ runtime::TaskDescriptor InspectorExecutor::root() const {
   return rt;
 }
 
-runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
-                                                  ThreadPool* pool) const {
+runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store,
+                                             ThreadPool* pool) const {
   // One body shared by every worker: a CompiledKernel when the nest is
   // affine and provable (per-worker Scratch keeps it const), otherwise the
   // exact interpreter — which is also the only path that can resolve
@@ -79,22 +79,15 @@ runtime::RuntimeStats InspectorExecutor::run_impl(exec::ArrayStore& store,
     };
   };
 
+  const runtime::DriveSource src{root(), grain_, {}, std::move(factory)};
   runtime::DriveOptions d;
   d.threads = threads_;
-  d.grain = grain_;
   d.trace = opts_.trace;
   d.metrics = opts_.metrics;
   d.pin_workers = opts_.pin_workers;
-  return runtime::drive_descriptors(root(), d, factory, pool);
-}
-
-runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store) const {
-  return run_impl(store, nullptr);
-}
-
-runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store,
-                                             ThreadPool& pool) const {
-  return run_impl(store, &pool);
+  runtime::RuntimeStats rs = runtime::drive_descriptors({&src, 1}, d, pool);
+  if (rs.error) std::rethrow_exception(rs.error);
+  return rs;
 }
 
 }  // namespace vdep::inspect

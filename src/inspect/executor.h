@@ -43,8 +43,10 @@ class InspectorExecutor {
   /// Runs every class over `store`. Affine nests execute through a shared
   /// exec::CompiledKernel (per-worker scratch); indirect nests — or any
   /// nest the kernel's range proof rejects — through the exact interpreter.
-  runtime::RuntimeStats run(exec::ArrayStore& store) const;
-  runtime::RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
+  /// With `pool` set, the workers are its threads plus the caller. A leaf
+  /// failure is rethrown.
+  runtime::RuntimeStats run(exec::ArrayStore& store,
+                            ThreadPool* pool = nullptr) const;
 
   /// The root descriptor: the full class range, no boxed dims.
   runtime::TaskDescriptor root() const;
@@ -52,9 +54,6 @@ class InspectorExecutor {
   std::size_t num_threads() const { return threads_; }
 
  private:
-  runtime::RuntimeStats run_impl(exec::ArrayStore& store,
-                                 ThreadPool* pool) const;
-
   loopir::LoopNest nest_;
   const DynamicPartition* part_;
   InspectorExecOptions opts_;

@@ -42,10 +42,16 @@ i64 RuntimeStats::total_axis_splits(int axis) const {
   return n;
 }
 
-i64 RuntimeStats::total_inner_splits() const {
+i64 inner_splits(const WorkerStats& w) {
   i64 n = 0;
   for (int axis = 1; axis < TaskDescriptor::kMaxDims; ++axis)
-    n += total_axis_splits(axis);
+    n += w.axis_splits[axis];
+  return n;
+}
+
+i64 RuntimeStats::total_inner_splits() const {
+  i64 n = 0;
+  for (const WorkerStats& w : workers) n += inner_splits(w);
   return n;
 }
 

@@ -1,11 +1,12 @@
 // Execution counters of the streaming runtime.
 //
-// Every worker owns one WorkerStats and mutates it without synchronization;
-// the executor aggregates after joining, so readers only ever see quiescent
-// values. The aggregate view (RuntimeStats) is what benches and the
-// parallelizer report.
+// Every worker owns one WorkerStats per source it runs and mutates it
+// without synchronization; the driver aggregates after joining, so readers
+// only ever see quiescent values. The aggregate view (RuntimeStats) is what
+// benches and the API layer report.
 #pragma once
 
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -43,10 +44,31 @@ struct alignas(64) WorkerStats {
   i64 steals_by_distance[kStealDistances] = {};
 };
 
+/// Splits along inner DOALL axes (axis >= 1, class axis excluded) — the
+/// splits the legacy outer-only policy could never perform.
+i64 inner_splits(const WorkerStats& w);
+
+/// One source's share of a run (runtime/driver.h).
+struct SourceStats {
+  /// Summed over workers. Idle time belongs to no source, so idle_ns and
+  /// failed_steals stay 0 here.
+  WorkerStats counters;
+  i64 done_ns = 0;   ///< run start -> the source's last descriptor retired
+  /// Queue latency: run start -> the source's first descriptor started
+  /// executing (at least 1 once it ran; 0 for an empty root).
+  i64 queue_ns = 0;
+};
+
 /// Aggregated run outcome.
 struct RuntimeStats {
+  /// Per worker, summed over sources, idle accounting included.
   std::vector<WorkerStats> workers;
+  std::vector<SourceStats> sources;
   i64 wall_ns = 0;  ///< makespan of the whole run (seed to last join)
+  /// First leaf failure and its source index; every worker stopped and the
+  /// remaining descriptors were dropped. Null when the run completed.
+  std::exception_ptr error;
+  i64 error_source = -1;
 
   i64 total_tasks() const;
   i64 total_splits() const;
@@ -56,8 +78,7 @@ struct RuntimeStats {
   i64 total_iterations() const;
   /// Splits along one axis (0..kMaxDims-1 or TaskDescriptor::kClassAxis).
   i64 total_axis_splits(int axis) const;
-  /// Splits along inner DOALL axes (axis >= 1, class axis excluded) — the
-  /// splits the legacy outer-only policy could never perform.
+  /// Splits along inner DOALL axes, summed over workers (inner_splits).
   i64 total_inner_splits() const;
   /// Max over workers of busy_ns — the critical-path estimate.
   i64 max_busy_ns() const;

@@ -1,10 +1,10 @@
 // Streaming execution of a TransformPlan: work-stealing over descriptors,
 // iterations regenerated on the fly.
 //
-// The materialized path (exec::build_schedule + ThreadPool) first stores
-// every iteration vector of every work item — O(total iterations x depth)
-// memory and build time — then replays them through a single mutex queue.
-// The StreamExecutor never builds that list. The root TaskDescriptor covers
+// The materialized schedule (exec::build_schedule, an analysis and bench
+// tool) stores every iteration vector of every work item — O(total
+// iterations x depth) memory and build time. The StreamExecutor never
+// builds that list. The root TaskDescriptor covers
 // the whole (DOALL-prefix hull) x (partition class) iteration box; workers
 // split it recursively along its longest axis (task.h) into leaves held in
 // Chase-Lev deques (work_queue.h), and each leaf *scans* its iterations
@@ -83,23 +83,16 @@ class StreamExecutor {
                  const trans::TransformPlan& plan, StreamOptions opts = {});
 
   /// Runs the whole plan over `store` and returns the worker counters.
-  /// Spawns num_threads() - 1 helper threads; the caller is worker 0.
-  RuntimeStats run(exec::ArrayStore& store) const;
-
-  /// Same, but the workers are `pool`'s threads (plus the caller) instead
-  /// of freshly spawned ones — use when a long-lived pool already exists.
-  /// num_threads() worker contexts are distributed over the pool.
-  RuntimeStats run(exec::ArrayStore& store, ThreadPool& pool) const;
-
-  /// Native-kernel mode: descriptor leaves are handed whole to
-  /// `kernel.execute_range` (typically a dlopen-ed jit::NativeKernel built
-  /// from this executor's plan) instead of being scanned per iteration.
-  /// Work stealing, splitting and stats are identical to run(); only leaf
-  /// execution changes.
+  /// With `kernel` set (typically a dlopen-ed jit::NativeKernel built from
+  /// this executor's plan), descriptor leaves are handed whole to
+  /// `kernel->execute_range` instead of being scanned per iteration; work
+  /// stealing, splitting and stats are identical. With `pool` null, spawns
+  /// num_threads() - 1 helper threads and the caller is worker 0;
+  /// otherwise num_threads() worker contexts are distributed over the
+  /// pool's threads (plus the caller). A leaf failure is rethrown.
   RuntimeStats run(exec::ArrayStore& store,
-                   const exec::RangeKernel& kernel) const;
-  RuntimeStats run(exec::ArrayStore& store, const exec::RangeKernel& kernel,
-                   ThreadPool& pool) const;
+                   const exec::RangeKernel* kernel = nullptr,
+                   ThreadPool* pool = nullptr) const;
 
   /// Test/diagnostic mode: streams every *original* iteration in execution
   /// order to `sink(worker, iter)` instead of mutating a store. The sink
@@ -107,16 +100,16 @@ class StreamExecutor {
   RuntimeStats run_trace(
       const std::function<void(int, const Vec&)>& sink) const;
 
-  /// Batch support (runtime/batch_executor.h): the per-worker leaf runner
-  /// run()/run(kernel) use, detached from the driving loop so a multi-
-  /// source scheduler can execute this plan's descriptors next to other
-  /// plans'. With `kernel` null this is the scan path — a CompiledKernel
+  /// The per-worker leaf runner run() uses, detached from the driving loop
+  /// so a multi-source run (the batch API) can execute this plan's
+  /// descriptors next to other plans' through drive_descriptors with
+  /// root(), grain() and split_prefs(). With `kernel` null this is the scan path — a CompiledKernel
   /// is built against `store` once (shared by every worker context this
   /// factory produces), falling back to the exact interpreter when the
   /// range proof rejects the nest; non-null, leaves are handed whole to
   /// `kernel`. `scan_prototype`, when set, skips the scan kernel's
   /// construction (and its range proof): the prototype — compiled once per
-  /// (structure, bounds) group by the batch layer — is rebound onto
+  /// (structure, bounds) group by the batch API — is rebound onto
   /// `store` instead. `store`, `kernel` and `scan_prototype` must outlive
   /// the returned factory and every LeafFn it produced; so must this
   /// executor.
@@ -136,20 +129,12 @@ class StreamExecutor {
   std::size_t num_threads() const { return threads_; }
   const StreamOptions& options() const { return opts_; }
   /// Locality weights of the boxed axes (all-zero unless locality_splits
-  /// found per-axis address strides to steer by). Shared with the batch
-  /// scheduler, which splits this executor's descriptors itself.
+  /// found per-axis address strides to steer by).
   const SplitPrefs& split_prefs() const { return split_prefs_; }
 
  private:
   struct Worker;
-  RuntimeStats run_impl(exec::ArrayStore& store, ThreadPool* pool) const;
-  RuntimeStats run_kernel_impl(exec::ArrayStore& store,
-                               const exec::RangeKernel& kernel,
-                               ThreadPool* pool) const;
-  RuntimeStats drive(const LeafFactory& leaf_factory, ThreadPool* pool) const;
-  RuntimeStats drive_scan(
-      const std::function<std::function<void(const Vec&)>(int)>& body_factory,
-      ThreadPool* pool) const;
+  RuntimeStats drive(LeafFactory leaf_factory, ThreadPool* pool) const;
   /// One scan-path worker context: Worker + recursive descriptor scan.
   LeafFn make_scan_leaf(int id, WorkerStats& stats,
                         std::function<void(const Vec&)> body) const;

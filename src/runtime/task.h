@@ -46,9 +46,10 @@ struct TaskDescriptor {
   /// Half-open range of partition class ids ([0, 1) when unpartitioned).
   i64 class_lo = 0;
   i64 class_hi = 1;
-  /// Which batch request the box belongs to (batch_executor.h). Single-
-  /// source runs leave it 0; split() halves carry it unchanged, so a
-  /// stolen descriptor always knows its plan, store and kernel.
+  /// Index of the driver source the box belongs to (driver.h): 0 in a
+  /// single run, the request index in a batch. split() halves carry it
+  /// unchanged, so a stolen descriptor always knows its plan, store and
+  /// kernel.
   i64 source = 0;
 
   i64 extent(int d) const { return hi[d] - lo[d] + 1; }

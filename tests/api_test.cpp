@@ -199,7 +199,7 @@ TEST(Compiler, PlanCompiledAtTenServesLargeBounds) {
     CompiledLoop big = small.at(example41(n)).value();
     EXPECT_EQ(&big.analysis(), &small.analysis());  // no re-analysis
     ExecReport r =
-        big.check(ExecPolicy{}.mode(ExecMode::kStreaming).threads(4)).value();
+        big.check(ExecPolicy{}.threads(4)).value();
     EXPECT_TRUE(r.verified) << "n=" << n;
     EXPECT_EQ(r.iterations, (2 * n + 1) * (2 * n + 1)) << "n=" << n;
   }
@@ -427,6 +427,45 @@ TEST(ExecuteBatch, MatchesIndividualExecution) {
   }
 }
 
+TEST(ExecuteBatch, FewerRequestsThanWorkersArePreSplit) {
+  // Two requests on four workers: the driver splits the roots until every
+  // worker has a piece before any of them starts. The results stay those
+  // of individual execute() calls.
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(example42(24)).value();
+  std::vector<loopir::LoopNest> bounds = {example42(24), example42(17)};
+  ExecPolicy policy = ExecPolicy{}.threads(4);
+  std::vector<ExecReport> reports = loop.execute_batch(bounds, policy).value();
+  ASSERT_EQ(reports.size(), bounds.size());
+  i64 tasks = 0;
+  for (const ExecReport& r : reports) tasks += r.tasks;
+  EXPECT_GT(tasks, 2);
+
+  for (std::size_t k = 0; k < bounds.size(); ++k) {
+    CompiledLoop h = loop.at(bounds[k]).value();
+    exec::ArrayStore store(h.nest());
+    store.fill_pattern();
+    ExecReport single = h.execute(policy, store).value();
+    EXPECT_EQ(reports[k].checksum, single.checksum) << "request " << k;
+    EXPECT_EQ(reports[k].iterations, single.iterations) << "request " << k;
+  }
+}
+
+TEST(ExecuteBatch, LeafFailureSurfacesTheRequestIndex) {
+  // The middle request overflows int64 in the exact interpreter; the batch
+  // aborts and the typed error names that request.
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(core::uniform_wavefront(4)).value();
+  std::vector<loopir::LoopNest> bounds = {core::uniform_wavefront(4),
+                                          core::uniform_wavefront(60),
+                                          core::uniform_wavefront(4)};
+  Expected<std::vector<ExecReport>> r = loop.execute_batch(
+      bounds, ExecPolicy{}.threads(2).backend(ExecBackend::kInterpreter));
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().kind, ErrorKind::kOverflow);
+  EXPECT_EQ(r.error().index, 1);
+}
+
 TEST(ExecuteBatch, AllBackendsAgreeThroughTheBatchPath) {
   // The batch path has its own kernel plumbing (shared scan prototype
   // rebound per store, one native kernel per group): cross-check it
@@ -486,16 +525,6 @@ TEST(ExecuteBatch, WrongStructureBoundsSurfaceIndex) {
   EXPECT_EQ(r.error().index, 2);
 }
 
-TEST(ExecuteBatch, MaterializedModeRejected) {
-  Compiler compiler;
-  CompiledLoop loop = compiler.compile(example41(5)).value();
-  std::vector<loopir::LoopNest> bounds = {example41(5)};
-  Expected<std::vector<ExecReport>> r =
-      loop.execute_batch(bounds, ExecPolicy{}.mode(ExecMode::kMaterialized));
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition);
-}
-
 TEST(ExecuteBatch, EmptyBatchIsEmptySuccess) {
   Compiler compiler;
   CompiledLoop loop = compiler.compile(example41(5)).value();
@@ -504,7 +533,7 @@ TEST(ExecuteBatch, EmptyBatchIsEmptySuccess) {
 }
 
 // N threads x M batches through one shared session and its pool: the
-// batch scheduler, the plan-cache memos and ThreadPool::parallel_for all
+// batch driver run, the plan-cache memos and ThreadPool::parallel_for all
 // interleave. Runs under TSan in CI.
 TEST(ExecuteBatchHammer, ConcurrentBatchesOnSharedSessionPool) {
   constexpr int kThreads = 4;
@@ -534,7 +563,7 @@ TEST(ExecuteBatchHammer, ConcurrentBatchesOnSharedSessionPool) {
     threads.emplace_back([&] {
       for (int i = 0; i < kBatchesPerThread; ++i) {
         Expected<std::vector<ExecReport>> r = loop.execute_batch(
-            bounds, ExecPolicy{}.threads(3), compiler.pool());
+            bounds, ExecPolicy{}.threads(3), &compiler.pool());
         if (!r || r->size() != bounds.size()) {
           ++failures;
           continue;

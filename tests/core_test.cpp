@@ -1,10 +1,8 @@
 // End-to-end tests of the staged compilation pipeline (vdep::Compiler /
-// CompiledLoop) over the canonical suite, plus compatibility coverage of
-// the deprecated PdmParallelizer wrapper.
+// CompiledLoop) over the canonical suite.
 #include <gtest/gtest.h>
 
 #include "api/vdep.h"
-#include "core/parallelizer.h"
 #include "core/suite.h"
 
 namespace vdep::core {
@@ -119,50 +117,6 @@ enddo
   EXPECT_EQ(&from_dsl.analysis(), &from_builder.analysis());  // shared artifact
   EXPECT_EQ(compiler.cache_stats().hits, 1);
   EXPECT_EQ(compiler.cache_stats().misses, 1);
-}
-
-// ---------------------------------------------- deprecated wrapper compat
-
-TEST(Parallelizer, WrapperReportMatchesStagedArtifacts) {
-  PdmParallelizer p;
-  Report r = p.analyze(example41(6));
-  EXPECT_EQ(r.doall_loops, 1);
-  EXPECT_EQ(r.partition_classes, 2);
-  EXPECT_GT(r.work_items, 2);
-  EXPECT_EQ(r.total_iterations, 13 * 13);
-  std::string s = r.summary();
-  EXPECT_NE(s.find("PDM"), std::string::npos);
-  EXPECT_NE(s.find("doall"), std::string::npos);
-  EXPECT_NE(s.find("[variable]"), std::string::npos);
-  EXPECT_FALSE(r.c_original.empty());
-  EXPECT_FALSE(r.c_transformed.empty());
-
-  Compiler compiler;
-  CompiledLoop loop = compiler.compile(example41(6)).value();
-  EXPECT_EQ(r.pdm.matrix(), loop.analysis().pdm.matrix());
-  EXPECT_EQ(r.plan.t, loop.plan().transform.t);
-}
-
-TEST(Parallelizer, WrapperMeasureCanBeDisabled) {
-  PdmParallelizer::Options opts;
-  opts.measure = false;
-  opts.emit_c = false;
-  PdmParallelizer p(opts);
-  Report r = p.analyze(example41(4));
-  EXPECT_EQ(r.work_items, 0);
-  EXPECT_EQ(r.doall_loops, 1);
-}
-
-TEST(Parallelizer, WrapperCheckedParallelizationStillWorks) {
-  PdmParallelizer::Options opts;
-  opts.emit_c = false;
-  PdmParallelizer p(opts);
-  ThreadPool pool(4);
-  for (const NamedNest& c : paper_suite(4)) {
-    // parallelize_and_check throws on any divergence from sequential.
-    Report r = p.parallelize_and_check(c.nest, pool);
-    EXPECT_GT(r.total_iterations, 0) << c.name;
-  }
 }
 
 }  // namespace

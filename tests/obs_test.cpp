@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -282,22 +283,46 @@ TEST(Trace, PolicyToggleKeepsRunOutOfTrace) {
   Compiler compiler;
   CompiledLoop loop = compiler.compile(core::example41(128)).value();
   TraceRecorder::instance().enable();
-  TraceRecorder::instance().clear();
+  MetricsRegistry& reg = MetricsRegistry::instance();
+  reg.enable();
+  obs::Counter& tasks = reg.counter("vdep_tasks_total");
 
-  exec::ArrayStore store(loop.nest());
-  store.fill_pattern();
   ExecPolicy policy;
-  policy.threads(4).digest(false).trace(false);
-  ASSERT_TRUE(loop.execute(policy, store));
-  // Recorder is live, but the run opted out: no runtime events.
-  i64 runtime_events = 0;
-  TraceRecorder::instance().for_each_event(
-      [&](std::size_t, const TraceEvent& ev) {
-        if (ev.kind == EventKind::kLeafExec || ev.kind == EventKind::kSplit ||
-            ev.kind == EventKind::kSteal || ev.kind == EventKind::kIdle)
-          ++runtime_events;
-      });
-  EXPECT_EQ(runtime_events, 0);
+  policy.threads(4).digest(false).trace(false).metrics(false);
+  // Single execute and a 2-store batch: both recorders are live, but the
+  // run opted out, so neither may record runtime events or count tasks.
+  const std::vector<std::function<bool()>> runs = {
+      [&] {
+        exec::ArrayStore store(loop.nest());
+        store.fill_pattern();
+        return loop.execute(policy, store).has_value();
+      },
+      [&] {
+        std::vector<exec::ArrayStore> stores(2, exec::ArrayStore(loop.nest()));
+        std::vector<exec::ArrayStore*> ptrs;
+        for (exec::ArrayStore& s : stores) {
+          s.fill_pattern();
+          ptrs.push_back(&s);
+        }
+        return loop
+            .execute_batch(std::span<exec::ArrayStore* const>(ptrs), policy)
+            .has_value();
+      },
+  };
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    TraceRecorder::instance().clear();
+    const obs::i64 tasks_before = tasks.value();
+    ASSERT_TRUE(runs[k]()) << "run " << k;
+    i64 runtime_events = 0;
+    TraceRecorder::instance().for_each_event(
+        [&](std::size_t, const TraceEvent& ev) {
+          if (ev.kind == EventKind::kLeafExec || ev.kind == EventKind::kSplit ||
+              ev.kind == EventKind::kSteal || ev.kind == EventKind::kIdle)
+            ++runtime_events;
+        });
+    EXPECT_EQ(runtime_events, 0) << "run " << k;
+    EXPECT_EQ(tasks.value(), tasks_before) << "run " << k;
+  }
 }
 
 // ----------------------------------------------------------------- metrics

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -309,7 +310,7 @@ TEST(Streaming, RunsOnACallerProvidedThreadPool) {
       StreamOptions so;
       so.num_threads = contexts;
       StreamExecutor ex(c.nest, plan_for(c.nest), so);
-      RuntimeStats rs = ex.run(got, pool);
+      RuntimeStats rs = ex.run(got, nullptr, &pool);
       EXPECT_EQ(ref, got) << c.name << " with " << contexts << " context(s)";
       EXPECT_EQ(rs.total_iterations(), c.nest.iteration_count()) << c.name;
     }
@@ -486,6 +487,80 @@ TEST(Stats, DescriptorCountIsIndependentOfIterationCount) {
   EXPECT_LE(big, 4 * small + 64);  // bounded by splitting policy, not by n^2
 }
 
+// ---------------------------------------------------- multi-source driver
+
+TEST(Driver, EverySourceRunsToItsOwnSequentialResult) {
+  // Two plans of different shapes share one run; per-source counters and
+  // stores must be exactly those of running each alone.
+  const std::vector<loopir::LoopNest> nests = {core::example42(12),
+                                               core::skewed_extent(40)};
+  for (std::size_t threads : {1u, 4u}) {
+    StreamOptions so;
+    so.num_threads = threads;
+    std::vector<std::unique_ptr<StreamExecutor>> exs;
+    std::vector<exec::ArrayStore> stores;
+    std::vector<exec::ArrayStore> refs;
+    stores.reserve(nests.size());
+    for (const loopir::LoopNest& nest : nests) {
+      exs.push_back(std::make_unique<StreamExecutor>(nest, plan_for(nest), so));
+      stores.emplace_back(nest);
+      stores.back().fill_pattern();
+      refs.push_back(stores.back());
+      exec::run_sequential(nest, refs.back());
+    }
+    std::vector<DriveSource> sources;
+    for (std::size_t s = 0; s < nests.size(); ++s)
+      sources.push_back({exs[s]->root(), exs[s]->grain(),
+                         exs[s]->split_prefs(),
+                         exs[s]->make_leaf_factory(stores[s])});
+    DriveOptions d;
+    d.threads = threads;
+    RuntimeStats rs = drive_descriptors(sources, d);
+    ASSERT_FALSE(rs.error);
+    ASSERT_EQ(rs.sources.size(), nests.size());
+    EXPECT_EQ(rs.total_tasks(),
+              rs.total_splits() + static_cast<i64>(nests.size()));
+    for (std::size_t s = 0; s < nests.size(); ++s) {
+      const SourceStats& st = rs.sources[s];
+      EXPECT_EQ(st.counters.iterations, nests[s].iteration_count())
+          << "threads " << threads << " source " << s;
+      EXPECT_EQ(st.counters.tasks, st.counters.splits + 1) << s;
+      EXPECT_GE(st.queue_ns, 1) << s;
+      EXPECT_GE(st.done_ns, st.queue_ns) << s;
+      EXPECT_TRUE(stores[s] == refs[s])
+          << "threads " << threads << " source " << s;
+    }
+  }
+}
+
+TEST(Driver, FewerRootsThanWorkersArePreSplitBeforeWorkersStart) {
+  // At grain 5 each 10-cell root splits exactly once. Two roots on four
+  // workers: seeding makes both splits (charged to worker 0) so every
+  // worker starts with a piece and no worker splits again.
+  std::atomic<i64> cells{0};
+  LeafFactory count = [&cells](int, WorkerStats& stats) -> LeafFn {
+    return [&cells, &stats](const TaskDescriptor& t) {
+      cells.fetch_add(t.cells());
+      stats.iterations += t.cells();
+    };
+  };
+  const std::vector<DriveSource> sources = {{task(0, 9, 0, 1), 5, {}, count},
+                                            {task(0, 9, 0, 1), 5, {}, count}};
+  DriveOptions d;
+  d.threads = 4;
+  d.pin_workers = false;
+  RuntimeStats rs = drive_descriptors(sources, d);
+  ASSERT_FALSE(rs.error);
+  EXPECT_EQ(rs.total_tasks(), 4);
+  EXPECT_EQ(rs.total_splits(), 2);
+  EXPECT_EQ(rs.workers[0].splits, 2);
+  EXPECT_EQ(cells.load(), 20);
+  for (const SourceStats& st : rs.sources) {
+    EXPECT_EQ(st.counters.tasks, 2);
+    EXPECT_EQ(st.counters.iterations, 10);
+  }
+}
+
 // ------------------------------------------------------------ staged API
 
 TEST(Parallelizer, StreamingModeChecksWholeSuite) {
@@ -494,25 +569,9 @@ TEST(Parallelizer, StreamingModeChecksWholeSuite) {
   for (const core::NamedNest& c : core::paper_suite(5)) {
     vdep::CompiledLoop loop = compiler.compile(c.nest).value();
     // check() errors on any divergence from the sequential reference.
-    vdep::ExecReport r =
-        loop.check(vdep::ExecPolicy{}.mode(vdep::ExecMode::kStreaming), pool)
-            .value();
+    vdep::ExecReport r = loop.check(vdep::ExecPolicy{}, pool).value();
     EXPECT_TRUE(r.verified) << c.name;
     EXPECT_GT(r.tasks, 0) << c.name;
-  }
-}
-
-TEST(Parallelizer, MaterializedModeStillWorks) {
-  vdep::Compiler compiler;
-  ThreadPool pool(3);
-  for (const core::NamedNest& c : core::paper_suite(5)) {
-    vdep::CompiledLoop loop = compiler.compile(c.nest).value();
-    vdep::ExecReport r =
-        loop.check(vdep::ExecPolicy{}.mode(vdep::ExecMode::kMaterialized),
-                   pool)
-            .value();
-    EXPECT_TRUE(r.verified) << c.name;
-    EXPECT_EQ(r.steals, 0) << c.name;  // steal counters are streaming-only
   }
 }
 
