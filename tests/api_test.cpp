@@ -406,48 +406,36 @@ TEST(CompileAll, FailingNestSurfacesIndexRestStillCompiles) {
 // ---------------------------------------------------------- execute_batch
 
 TEST(ExecuteBatch, MatchesIndividualExecution) {
-  Compiler compiler;
-  CompiledLoop loop = compiler.compile(example41(5)).value();
-  std::vector<loopir::LoopNest> bounds;
-  for (i64 n : {i64{5}, i64{7}, i64{9}, i64{11}, i64{5}, i64{13}})
-    bounds.push_back(example41(n));
+  // More requests than workers, and fewer (pre-split by the driver; the
+  // split itself is checked in runtime_test's Driver cases).
+  struct Case {
+    loopir::LoopNest (*nest)(i64);
+    std::vector<i64> sizes;
+    int threads;
+  };
+  const Case cases[] = {{example41, {5, 7, 9, 11, 5, 13}, 2},
+                        {example42, {24, 17}, 4}};
+  for (const Case& c : cases) {
+    Compiler compiler;
+    CompiledLoop loop = compiler.compile(c.nest(c.sizes[0])).value();
+    std::vector<loopir::LoopNest> bounds;
+    for (i64 n : c.sizes) bounds.push_back(c.nest(n));
 
-  ExecPolicy policy = ExecPolicy{}.threads(2);
-  std::vector<ExecReport> reports =
-      loop.execute_batch(bounds, policy).value();
-  ASSERT_EQ(reports.size(), bounds.size());
+    ExecPolicy policy = ExecPolicy{}.threads(c.threads);
+    std::vector<ExecReport> reports =
+        loop.execute_batch(bounds, policy).value();
+    ASSERT_EQ(reports.size(), bounds.size());
 
-  for (std::size_t k = 0; k < bounds.size(); ++k) {
-    CompiledLoop h = loop.at(bounds[k]).value();
-    exec::ArrayStore store(h.nest());
-    store.fill_pattern();
-    ExecReport single = h.execute(policy, store).value();
-    EXPECT_EQ(reports[k].checksum, single.checksum) << "request " << k;
-    EXPECT_EQ(reports[k].iterations, single.iterations) << "request " << k;
-  }
-}
-
-TEST(ExecuteBatch, FewerRequestsThanWorkersArePreSplit) {
-  // Two requests on four workers: the driver splits the roots until every
-  // worker has a piece before any of them starts. The results stay those
-  // of individual execute() calls.
-  Compiler compiler;
-  CompiledLoop loop = compiler.compile(example42(24)).value();
-  std::vector<loopir::LoopNest> bounds = {example42(24), example42(17)};
-  ExecPolicy policy = ExecPolicy{}.threads(4);
-  std::vector<ExecReport> reports = loop.execute_batch(bounds, policy).value();
-  ASSERT_EQ(reports.size(), bounds.size());
-  i64 tasks = 0;
-  for (const ExecReport& r : reports) tasks += r.tasks;
-  EXPECT_GT(tasks, 2);
-
-  for (std::size_t k = 0; k < bounds.size(); ++k) {
-    CompiledLoop h = loop.at(bounds[k]).value();
-    exec::ArrayStore store(h.nest());
-    store.fill_pattern();
-    ExecReport single = h.execute(policy, store).value();
-    EXPECT_EQ(reports[k].checksum, single.checksum) << "request " << k;
-    EXPECT_EQ(reports[k].iterations, single.iterations) << "request " << k;
+    for (std::size_t k = 0; k < bounds.size(); ++k) {
+      CompiledLoop h = loop.at(bounds[k]).value();
+      exec::ArrayStore store(h.nest());
+      store.fill_pattern();
+      ExecReport single = h.execute(policy, store).value();
+      EXPECT_EQ(reports[k].checksum, single.checksum)
+          << c.threads << " threads, request " << k;
+      EXPECT_EQ(reports[k].iterations, single.iterations)
+          << c.threads << " threads, request " << k;
+    }
   }
 }
 
