@@ -4,22 +4,33 @@
 // Scenario "sparse_scatter" is the inspector's home turf: a scatter-
 // accumulate A[B[i]] = A[B[i]] + C[i] with a duplicate-heavy index array
 // (mean chain length ~4), the access pattern of sparse assembly. The PDM
-// rejects the nest, sequential interpretation is the only static option,
-// and the inspector's components are exactly the per-target-cell chains.
+// rejects the nest, sequential execution is the only static option, and
+// the inspector's components are exactly the per-target-cell chains.
 // Scenario "permutation" is the degenerate best case — B a permutation, so
 // every class is a singleton and the space is fully parallel.
 //
+// Two sequential baselines: the tree-walking interpreter and the same
+// nest through one exec::CompiledKernel (with its gather terms). The
+// executor runs both leaf kinds at 1 and nproc workers, and the summary
+// reports speedups and the amortized speedup (inspection included) against
+// each baseline.
+//
 // Output is one JSON object per line (scraped into BENCH_runtime.json):
-//   {"bench":"inspector","name":"sparse_scatter","mode":"inspect","n":...,
-//    "seconds":...,"classes":...,"chains":...,"max_component":...}
-//   {"bench":"inspector","name":...,"mode":"executor","threads":8,...}
-//   {"bench":"inspector","name":...,"mode":"summary","threads":8,
-//    "speedup_8w_vs_seq":...,"inspect_overhead_pct":...,"bit_identical":...}
+//   {"bench":"inspector","name":"sparse_scatter","mode":"sequential",...}
+//   {"bench":"inspector","name":...,"mode":"sequential_compiled",...}
+//   {"bench":"inspector","name":...,"mode":"inspect","threads":nproc,
+//    "n":...,"seconds":...,"classes":...,"chains":...,"max_component":...}
+//   {"bench":"inspector","name":...,"mode":"executor_interpreter" or
+//    "executor_compiled","threads":...,"seconds":...,"bit_identical":...}
+//   {"bench":"inspector","name":...,"mode":"summary","threads":nproc,
+//    "amortized_speedup":...,"amortized_speedup_vs_compiled":...}
 //
 // `--gate` (CI bench-smoke leg) re-runs both scenarios and fails unless
-// every parallel store is bit-identical to the sequential reference —
-// speedup is reported, never gated (inspection amortizes over re-execution
-// and CI machines vary), but correctness is absolute.
+// every parallel store — interpreter and compiled leaves alike — and the
+// compiled sequential baseline are bit-identical to the interpreter's
+// sequential reference. Speedup is reported, never gated (inspection
+// amortizes over re-execution and CI machines vary), but correctness is
+// absolute.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -28,6 +39,7 @@
 #include <string>
 #include <thread>
 
+#include "exec/compiled.h"
 #include "exec/interpreter.h"
 #include "inspect/executor.h"
 #include "inspect/inspector.h"
@@ -55,6 +67,8 @@ double best_of(int reps, const std::function<double()>& fn) {
   return best;
 }
 
+double ratio(double a, double b) { return b > 0 ? a / b : 0.0; }
+
 /// A[B[i]] = A[B[i]] + C[i] over i in [0, n-1], A sized [0, a_hi].
 loopir::LoopNest scatter_nest(i64 n, i64 a_hi) {
   loopir::LoopNestBuilder b;
@@ -77,92 +91,117 @@ struct Scenario {
   std::function<i64(i64)> index;  ///< i -> B[i]
 };
 
-int run_scenario(const Scenario& sc, i64 n, int reps, bool gate) {
+/// Prints one sequential-baseline row and returns its time.
+double sequential_row(const Scenario& sc, const char* mode, i64 n,
+                      const std::function<void()>& run) {
+  auto t0 = std::chrono::steady_clock::now();
+  run();
+  const double t = seconds_since(t0);
+  std::printf(
+      "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"%s\","
+      "\"threads\":1,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
+      "\"iters_per_sec\":%.0f}\n",
+      sc.name, mode, hw_threads(), static_cast<long long>(n), t,
+      ratio(static_cast<double>(n), t));
+  return t;
+}
+
+int run_scenario(const Scenario& sc, i64 n, int reps) {
   loopir::LoopNest nest = scatter_nest(n, sc.a_hi);
   exec::ArrayStore init(nest);
   init.fill_pattern();
   for (i64 i = 0; i < n; ++i) init.write("B", intlin::Vec{i}, sc.index(i));
 
-  // Sequential reference (the only static execution for a non-affine nest).
-  exec::ArrayStore ref = init;
-  double t_seq = [&] {
-    auto t0 = std::chrono::steady_clock::now();
-    exec::run_sequential(nest, ref);
-    return seconds_since(t0);
-  }();
-  std::printf(
-      "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"sequential\","
-      "\"threads\":1,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
-      "\"iters_per_sec\":%.0f}\n",
-      sc.name, hw_threads(), static_cast<long long>(n), t_seq,
-      t_seq > 0 ? static_cast<double>(n) / t_seq : 0.0);
+  int failures = 0;
+  auto expect_identical = [&](bool identical, const std::string& what) {
+    if (identical) return;
+    std::fprintf(stderr, "FAIL: %s %s diverged from sequential\n", sc.name,
+                 what.c_str());
+    ++failures;
+  };
 
-  // Inspection: timed separately (best-of), stats from the last run.
-  inspect::DynamicPartition part = inspect::inspect(nest, init);
-  double t_inspect = best_of(reps, [&] {
+  // Sequential baselines: the interpreter (the reference store) and one
+  // CompiledKernel replaying the nest in lexicographic order.
+  exec::ArrayStore ref = init;
+  const double t_seq = sequential_row(
+      sc, "sequential", n, [&] { exec::run_sequential(nest, ref); });
+  exec::ArrayStore seq_compiled = init;
+  const double t_seq_compiled =
+      sequential_row(sc, "sequential_compiled", n, [&] {
+        exec::CompiledKernel(nest, seq_compiled).run_sequential();
+      });
+  expect_identical(seq_compiled == ref, "sequential CompiledKernel");
+
+  // Inspection at nproc workers: timed separately (best-of), stats from
+  // the last run.
+  inspect::DynamicPartition part = inspect::inspect(nest, init, hw_threads());
+  const double t_inspect = best_of(reps, [&] {
     auto t0 = std::chrono::steady_clock::now();
-    part = inspect::inspect(nest, init);
+    part = inspect::inspect(nest, init, hw_threads());
     return seconds_since(t0);
   });
   const inspect::InspectStats& st = part.stats();
   std::printf(
       "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"inspect\","
-      "\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
+      "\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
       "\"iterations_per_sec\":%.0f,\"classes\":%lld,\"chains\":%lld,"
       "\"max_component\":%lld,\"dependent\":%lld,\"written_cells\":%lld}\n",
-      sc.name, hw_threads(), static_cast<long long>(n), t_inspect,
-      t_inspect > 0 ? static_cast<double>(n) / t_inspect : 0.0,
+      sc.name, hw_threads(), hw_threads(), static_cast<long long>(n),
+      t_inspect, ratio(static_cast<double>(n), t_inspect),
       static_cast<long long>(st.classes), static_cast<long long>(st.chains),
       static_cast<long long>(st.max_component),
       static_cast<long long>(st.dependent_iterations),
       static_cast<long long>(st.written_cells));
 
-  int failures = 0;
-  double t_8w = 0;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    inspect::InspectorExecOptions io;
-    io.num_threads = threads;
-    inspect::InspectorExecutor ex(nest, part, io);
-    exec::ArrayStore got(nest);
-    runtime::RuntimeStats rs;
-    double t_exec = best_of(reps, [&] {
-      got = init;
-      auto t0 = std::chrono::steady_clock::now();
-      rs = ex.run(got);
-      return seconds_since(t0);
-    });
-    if (threads == 8) t_8w = t_exec;
-    bool identical = got == ref;
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s inspector executor at %zu worker(s) diverged "
-                   "from sequential\n",
-                   sc.name, threads);
-      ++failures;
+  // Executor: both leaf kinds at 1 and nproc workers.
+  double t_wide_interpreter = 0, t_wide_compiled = 0;
+  for (bool interpret : {true, false}) {
+    for (std::size_t threads : {std::size_t{1}, hw_threads()}) {
+      inspect::InspectorExecOptions io;
+      io.drive.threads = threads;
+      io.force_interpreter = interpret;
+      inspect::InspectorExecutor ex(nest, part, io);
+      exec::ArrayStore got(nest);
+      runtime::RuntimeStats rs;
+      const double t_exec = best_of(reps, [&] {
+        got = init;
+        auto t0 = std::chrono::steady_clock::now();
+        rs = ex.run(got);
+        return seconds_since(t0);
+      });
+      (interpret ? t_wide_interpreter : t_wide_compiled) = t_exec;
+      const char* mode = interpret ? "executor_interpreter" : "executor_compiled";
+      const bool identical = got == ref;
+      expect_identical(identical, std::string(mode) + " at " +
+                                      std::to_string(threads) + " worker(s)");
+      std::printf(
+          "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"%s\","
+          "\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
+          "\"iters_per_sec\":%.0f,\"tasks\":%lld,\"steals\":%lld,"
+          "\"bit_identical\":%s}\n",
+          sc.name, mode, threads, hw_threads(), static_cast<long long>(n),
+          t_exec, ratio(static_cast<double>(n), t_exec),
+          static_cast<long long>(rs.total_tasks()),
+          static_cast<long long>(rs.total_steals()),
+          identical ? "true" : "false");
     }
-    std::printf(
-        "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"executor\","
-        "\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
-        "\"iters_per_sec\":%.0f,\"tasks\":%lld,\"steals\":%lld,"
-        "\"bit_identical\":%s}\n",
-        sc.name, threads, hw_threads(), static_cast<long long>(n), t_exec,
-        t_exec > 0 ? static_cast<double>(n) / t_exec : 0.0,
-        static_cast<long long>(rs.total_tasks()),
-        static_cast<long long>(rs.total_steals()),
-        identical ? "true" : "false");
   }
 
+  // Amortized: one inspection plus one compiled-leaf execution at nproc
+  // workers, against each sequential baseline.
   std::printf(
       "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"summary\","
-      "\"threads\":8,\"hw_threads\":%zu,\"n\":%lld,"
-      "\"speedup_8w_vs_seq\":%.3f,\"inspect_overhead_pct\":%.2f,"
-      "\"amortized_speedup_8w\":%.3f}\n",
-      sc.name, hw_threads(), static_cast<long long>(n),
-      t_8w > 0 ? t_seq / t_8w : 0.0,
-      t_seq > 0 ? t_inspect / t_seq * 100.0 : 0.0,
-      t_inspect + t_8w > 0 ? t_seq / (t_inspect + t_8w) : 0.0);
-
-  (void)gate;
+      "\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,"
+      "\"speedup_vs_seq\":%.3f,\"speedup_vs_seq_compiled\":%.3f,"
+      "\"interpreter_leaf_speedup_vs_seq\":%.3f,"
+      "\"inspect_overhead_pct\":%.2f,\"inspect_overhead_pct_compiled\":%.2f,"
+      "\"amortized_speedup\":%.3f,\"amortized_speedup_vs_compiled\":%.3f}\n",
+      sc.name, hw_threads(), hw_threads(), static_cast<long long>(n),
+      ratio(t_seq, t_wide_compiled), ratio(t_seq_compiled, t_wide_compiled),
+      ratio(t_seq, t_wide_interpreter), ratio(t_inspect, t_seq) * 100.0,
+      ratio(t_inspect, t_seq_compiled) * 100.0,
+      ratio(t_seq, t_inspect + t_wide_compiled),
+      ratio(t_seq_compiled, t_inspect + t_wide_compiled));
   return failures;
 }
 
@@ -183,6 +222,6 @@ int main(int argc, char** argv) {
   };
 
   int failures = 0;
-  for (const Scenario& sc : scenarios) failures += run_scenario(sc, n, reps, gate);
+  for (const Scenario& sc : scenarios) failures += run_scenario(sc, n, reps);
   return failures == 0 ? 0 : 1;
 }

@@ -119,7 +119,7 @@ double run_streaming(const std::string& name, const loopir::LoopNest& nest,
                      const trans::TransformPlan& plan, std::size_t threads,
                      i64 n) {
   runtime::StreamOptions so;
-  so.num_threads = threads;
+  so.drive.threads = threads;
   runtime::StreamExecutor ex(nest, plan, so);
   exec::ArrayStore store(nest);
   store.fill_pattern();
@@ -201,7 +201,7 @@ double run_streaming_split(const std::string& name, const loopir::LoopNest& nest
                            int flops_per_point,
                            exec::ArrayStore* final_store = nullptr) {
   runtime::StreamOptions so;
-  so.num_threads = threads;
+  so.drive.threads = threads;
   so.split_dims = split_dims;
   runtime::StreamExecutor ex(nest, plan, so);
   // First-touch placement so multi-worker runs start with each worker's
@@ -353,7 +353,7 @@ int run_trace_overhead(bool gate) {
   loopir::LoopNest nest = inner_only(n);
   trans::TransformPlan plan = trans::plan_transform(dep::compute_pdm(nest));
   runtime::StreamOptions so;
-  so.num_threads = threads;
+  so.drive.threads = threads;
   so.grain = (n + 1) / 2048;  // ~2k leaves: realistic event rate
   runtime::StreamExecutor ex(nest, plan, so);
 

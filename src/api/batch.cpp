@@ -3,7 +3,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "exec/compiled.h"
@@ -39,8 +38,7 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
           "scheduler cannot express; execute each request individually");
     const bool interpret = policy.backend() == ExecBackend::kInterpreter;
 
-    std::size_t threads =
-        policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
+    const runtime::DriveOptions drive = policy.drive_options(pool);
 
     // Per-request preparation: resolve the store (caller's or an internal
     // pattern fill), the group (shared executor + scan prototype) and —
@@ -75,7 +73,7 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
       exec::ArrayStore* store = req.store;
       if (!store) {
         owned_stores.push_back(std::make_unique<exec::ArrayStore>(
-            req.loop.nest(), policy.placement(), threads));
+            req.loop.nest(), policy.placement(), drive.threads));
         owned_stores.back()->fill_pattern();
         store = owned_stores.back().get();
       }
@@ -93,13 +91,10 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
       bool fresh = group.executor == nullptr;
       if (fresh) {
         runtime::StreamOptions so;
-        so.num_threads = threads;
+        so.drive = drive;
         so.grain = policy.grain();
         so.split_dims = policy.split_dims();
         so.force_interpreter = interpret;
-        so.trace = policy.trace();
-        so.metrics = policy.metrics();
-        so.pin_workers = policy.pin_workers();
         so.locality_splits = policy.locality_splits();
         group.executor = std::make_unique<runtime::StreamExecutor>(
             req.loop.nest(), req.loop.plan().transform, so);
@@ -133,13 +128,8 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
                                               group.prototype.get())});
     }
 
-    runtime::DriveOptions d;
-    d.threads = threads ? threads
-                        : std::max(1u, std::thread::hardware_concurrency());
-    d.trace = policy.trace();
-    d.metrics = policy.metrics();
-    d.pin_workers = policy.pin_workers();
-    runtime::RuntimeStats rs = runtime::drive_descriptors(sources, d, pool);
+    runtime::RuntimeStats rs =
+        runtime::drive_descriptors(sources, drive, pool);
     if (rs.error) {
       try {
         std::rethrow_exception(rs.error);

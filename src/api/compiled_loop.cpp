@@ -50,6 +50,16 @@ std::string CodegenOptions::memo_key() const {
   return key;
 }
 
+runtime::DriveOptions ExecPolicy::drive_options(
+    const vdep::ThreadPool* pool) const {
+  runtime::DriveOptions d;
+  d.threads = threads_ ? threads_ : (pool ? pool->size() : 0);
+  d.trace = trace_;
+  d.metrics = metrics_;
+  d.pin_workers = pin_workers_;
+  return d;
+}
+
 // ------------------------------------------------------------ artifact
 
 const std::string& PlanArtifact::codegen(const loopir::LoopNest& nest,
@@ -183,12 +193,13 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
     const bool use_inspector =
         non_affine || policy.backend() == ExecBackend::kInspector;
     const bool interpret = policy.backend() == ExecBackend::kInterpreter;
+    const runtime::DriveOptions drive = policy.drive_options(pool);
     if (use_inspector) {
       std::optional<inspect::DynamicPartition> part;
       {
         obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
                              obs::Phase::kInspect);
-        part.emplace(inspect::inspect(*nest_, store));
+        part.emplace(inspect::inspect(*nest_, store, drive.threads, pool));
         if (span.tracing()) {
           const inspect::InspectStats& st = part->stats();
           span.set_arg(0, st.iterations);
@@ -212,13 +223,9 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
             .observe(st.max_component);
       }
       inspect::InspectorExecOptions io;
-      io.num_threads =
-          policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
+      io.drive = drive;
       io.grain = policy.grain();
       io.force_interpreter = interpret;
-      io.trace = policy.trace();
-      io.metrics = policy.metrics();
-      io.pin_workers = policy.pin_workers();
       inspect::InspectorExecutor ex(*nest_, *part, io);
       runtime::RuntimeStats rs;
       {
@@ -238,14 +245,10 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       rep.inspector_dependent = st.dependent_iterations;
     } else {
       runtime::StreamOptions so;
-      so.num_threads =
-          policy.threads() ? policy.threads() : (pool ? pool->size() : 0);
+      so.drive = drive;
       so.grain = policy.grain();
       so.split_dims = policy.split_dims();
       so.force_interpreter = interpret;
-      so.trace = policy.trace();
-      so.metrics = policy.metrics();
-      so.pin_workers = policy.pin_workers();
       so.locality_splits = policy.locality_splits();
       std::optional<runtime::StreamExecutor> ex;
       {

@@ -29,6 +29,7 @@
 #include "exec/array_store.h"
 #include "exec/runner.h"
 #include "jit/toolchain.h"
+#include "runtime/driver.h"
 #include "support/expected.h"
 #include "trans/planner.h"
 
@@ -128,6 +129,10 @@ class ExecPolicy {
   bool pin_workers() const { return pin_workers_; }
   bool locality_splits() const { return locality_splits_; }
   exec::ArrayStore::Placement placement() const { return placement_; }
+  /// The descriptor driver's share of this policy: worker count (threads(),
+  /// else `pool`'s size when a pool runs the call, else hardware), the
+  /// trace/metrics gates and pinning.
+  runtime::DriveOptions drive_options(const vdep::ThreadPool* pool) const;
 
  private:
   std::size_t threads_ = 0;

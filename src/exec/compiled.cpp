@@ -1,25 +1,53 @@
 #include "exec/compiled.h"
 
-#include "poly/constraints.h"
-#include "poly/fourier_motzkin.h"
+#include <algorithm>
+
+#include "exec/kernel.h"
 #include "support/error.h"
 
 namespace vdep::exec {
 
+namespace {
+
+/// Rethrows a wrapped postfix add/sub/mul (`op` is '+', '-' or '*') as the
+/// interpreter's OverflowError, message included: the checked op is redone
+/// on the operands. Out of line so the hot loop keeps one flag test per op.
+[[noreturn, gnu::cold, gnu::noinline]] void raise_overflow(char op, i64 a,
+                                                           i64 b) {
+  if (op == '+') checked::add(a, b);
+  if (op == '-') checked::sub(a, b);
+  checked::mul(a, b);
+  VDEP_CHECK(false, "postfix overflow flag without an overflow");
+}
+
+/// The interpreter's error for a gathered subscript outside its dimension.
+[[noreturn, gnu::cold, gnu::noinline]] void raise_out_of_range(
+    const std::string& array) {
+  throw PreconditionError("array " + array + " subscript out of declared range");
+}
+
+/// One binary postfix op over `w` lanes: pops the top slot into the one
+/// below it, op by op checked like the scalar path. Returns the new top.
+template <class Wraps>
+i64* lanewise(char op, i64* sp, std::size_t w, Wraps wraps) {
+  sp -= w;
+  i64* lhs = sp - w;
+  for (std::size_t l = 0; l < w; ++l) {
+    const i64 a = lhs[l], b = sp[l];
+    if (wraps(a, b, &lhs[l])) [[unlikely]]
+      raise_overflow(op, a, b);
+  }
+  return sp;
+}
+
+}  // namespace
+
 CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
     : nest_(nest), store_(&store) {
-  if (nest.has_indirection())
-    throw UnsupportedError(
-        "CompiledKernel requires affine subscripts; indirect references run "
-        "through the interpreter");
   // Iteration box for the one-time subscript range proof.
-  poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
-  box_.clear();
-  for (int k = 0; k < nest.depth(); ++k) {
-    auto r = cs.variable_range(k);
-    VDEP_REQUIRE(r.has_value(), "unbounded loop cannot be compiled");
-    box_.push_back(*r);
-  }
+  std::optional<Box> box = iteration_box(nest);
+  VDEP_REQUIRE(box.has_value(), "unbounded loop cannot be compiled");
+  box_ = std::move(*box);
   for (const loopir::Assign& a : nest.body()) {
     Stmt s;
     s.lhs = compile_access(a.lhs);
@@ -33,35 +61,51 @@ CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
 
 CompiledKernel::Access CompiledKernel::compile_access(
     const loopir::ArrayRef& ref) {
+  auto ord_of = [&](const std::string& name) {
+    for (std::size_t a = 0; a < nest_.arrays().size(); ++a)
+      if (nest_.arrays()[a].name == name) return static_cast<int>(a);
+    return 0;
+  };
+  // One-time range proof over the (rectangular hull of the) space.
+  auto prove = [&](const loopir::AffineExpr& e, i64 lo, i64 hi,
+                   const std::string& what) {
+    VDEP_REQUIRE(form_within(e, box_, lo, hi),
+                 what + " can leave the declared range; cannot compile");
+  };
   const loopir::ArrayDecl& decl = nest_.array(ref.array);
   Access acc;
   acc.base = store_->raw_mutable(ref.array).data();
-  for (std::size_t a = 0; a < nest_.arrays().size(); ++a)
-    if (nest_.arrays()[a].name == ref.array)
-      acc.array_ord = static_cast<int>(a);
+  acc.array_ord = ord_of(ref.array);
   acc.coeffs.assign(static_cast<std::size_t>(nest_.depth()), 0);
   acc.c0 = 0;
   i64 stride = 1;
   // Row-major: process dimensions right-to-left accumulating strides.
   for (int d = decl.arity() - 1; d >= 0; --d) {
-    const loopir::AffineExpr& s = ref.subscripts[static_cast<std::size_t>(d)];
     auto [lo, hi] = decl.dims[static_cast<std::size_t>(d)];
-    // One-time range proof over the (rectangular hull of the) space.
-    i64 smin = s.constant_term(), smax = s.constant_term();
-    for (int k = 0; k < nest_.depth(); ++k) {
-      i64 c = s.coeff(k);
-      auto [bl, bh] = box_[static_cast<std::size_t>(k)];
-      smin = checked::add(smin, checked::mul(c, c >= 0 ? bl : bh));
-      smax = checked::add(smax, checked::mul(c, c >= 0 ? bh : bl));
+    const std::size_t slot = static_cast<std::size_t>(d);
+    if (slot < ref.indirect.size() && ref.indirect[slot].has_value()) {
+      const loopir::IndirectSubscript& ind = *ref.indirect[slot];
+      auto [ilo, ihi] = nest_.array(ind.array).dims.front();
+      prove(ind.pos, ilo, ihi, "position in index array " + ind.array);
+      Gather g;
+      g.idx = store_->raw(ind.array).data();
+      g.pos = ind.pos.coeffs();
+      g.pos0 = checked::sub(ind.pos.constant_term(), ilo);
+      g.lo = lo;
+      g.hi = hi;
+      g.stride = stride;
+      g.index_ord = ord_of(ind.array);
+      acc.gathers.push_back(std::move(g));
+    } else {
+      const loopir::AffineExpr& s = ref.subscripts[slot];
+      prove(s, lo, hi, "subscript of " + ref.array);
+      for (int k = 0; k < nest_.depth(); ++k)
+        acc.coeffs[static_cast<std::size_t>(k)] =
+            checked::add(acc.coeffs[static_cast<std::size_t>(k)],
+                         checked::mul(stride, s.coeff(k)));
+      acc.c0 = checked::add(
+          acc.c0, checked::mul(stride, checked::sub(s.constant_term(), lo)));
     }
-    VDEP_REQUIRE(smin >= lo && smax <= hi,
-                 "subscript of " + ref.array +
-                     " can leave the declared range; cannot compile");
-    for (int k = 0; k < nest_.depth(); ++k)
-      acc.coeffs[static_cast<std::size_t>(k)] = checked::add(
-          acc.coeffs[static_cast<std::size_t>(k)], checked::mul(stride, s.coeff(k)));
-    acc.c0 = checked::add(acc.c0,
-                          checked::mul(stride, checked::sub(s.constant_term(), lo)));
     stride = checked::mul(stride, hi - lo + 1);
   }
   return acc;
@@ -104,8 +148,44 @@ void CompiledKernel::execute_iteration(const Vec& iter) {
   execute_iteration(iter, scratch_);
 }
 
-void CompiledKernel::execute_iteration(const Vec& iter, Scratch& scratch) const {
-  const i64* it = iter.data();
+inline i64 CompiledKernel::offset(const Access& a, const i64* it) const {
+  i64 off = a.c0;
+  for (std::size_t k = 0; k < a.coeffs.size(); ++k) off += a.coeffs[k] * it[k];
+  for (const Gather& g : a.gathers) {
+    i64 p = g.pos0;
+    for (std::size_t k = 0; k < g.pos.size(); ++k) p += g.pos[k] * it[k];
+    const i64 v = g.idx[p];
+    if (v < g.lo || v > g.hi) [[unlikely]]
+      raise_out_of_range(
+          nest_.arrays()[static_cast<std::size_t>(a.array_ord)].name);
+    off += g.stride * (v - g.lo);
+  }
+  return off;
+}
+
+void CompiledKernel::offsets(const Access& a, std::span<const i64* const> iters,
+                             i64* off, i64* pos) const {
+  const std::size_t w = iters.size();
+  std::fill(off, off + w, a.c0);
+  for (std::size_t k = 0; k < a.coeffs.size(); ++k)
+    if (const i64 c = a.coeffs[k]; c != 0)
+      for (std::size_t l = 0; l < w; ++l) off[l] += c * iters[l][k];
+  for (const Gather& g : a.gathers) {
+    std::fill(pos, pos + w, g.pos0);
+    for (std::size_t k = 0; k < g.pos.size(); ++k)
+      if (const i64 c = g.pos[k]; c != 0)
+        for (std::size_t l = 0; l < w; ++l) pos[l] += c * iters[l][k];
+    for (std::size_t l = 0; l < w; ++l) {
+      const i64 v = g.idx[pos[l]];
+      if (v < g.lo || v > g.hi) [[unlikely]]
+        raise_out_of_range(
+            nest_.arrays()[static_cast<std::size_t>(a.array_ord)].name);
+      off[l] += g.stride * (v - g.lo);
+    }
+  }
+}
+
+void CompiledKernel::execute_iteration(const i64* it, Scratch& scratch) const {
   for (const Stmt& s : stmts_) {
     i64* sp = scratch.stack.data();
     for (const Instr& ins : s.program) {
@@ -118,30 +198,81 @@ void CompiledKernel::execute_iteration(const Vec& iter, Scratch& scratch) const 
           break;
         case Op::kRead: {
           const Access& a = reads_[static_cast<std::size_t>(ins.index)];
-          i64 off = a.c0;
-          for (std::size_t k = 0; k < a.coeffs.size(); ++k)
-            off += a.coeffs[k] * it[k];
-          *sp++ = a.base[off];
+          *sp++ = a.base[offset(a, it)];
+          break;
+        }
+        case Op::kAdd: {
+          const i64 a = sp[-2], b = sp[-1];
+          if (__builtin_add_overflow(a, b, &sp[-2])) [[unlikely]]
+            raise_overflow('+', a, b);
+          --sp;
+          break;
+        }
+        case Op::kSub: {
+          const i64 a = sp[-2], b = sp[-1];
+          if (__builtin_sub_overflow(a, b, &sp[-2])) [[unlikely]]
+            raise_overflow('-', a, b);
+          --sp;
+          break;
+        }
+        case Op::kMul: {
+          const i64 a = sp[-2], b = sp[-1];
+          if (__builtin_mul_overflow(a, b, &sp[-2])) [[unlikely]]
+            raise_overflow('*', a, b);
+          --sp;
+          break;
+        }
+      }
+    }
+    s.lhs.base[offset(s.lhs, it)] = sp[-1];
+  }
+}
+
+void CompiledKernel::execute_batch(std::span<const i64* const> iters,
+                                   Scratch& scratch) const {
+  const std::size_t w = iters.size();
+  i64* const off = scratch.lanes.data();
+  i64* const pos = off + scratch.lanes.size() / 2;
+  for (const Stmt& s : stmts_) {
+    // Stack slot k holds lane l's value at [k * w + l].
+    i64* sp = scratch.stack.data();
+    for (const Instr& ins : s.program) {
+      switch (ins.op) {
+        case Op::kPushConst:
+          std::fill(sp, sp + w, ins.value);
+          sp += w;
+          break;
+        case Op::kPushIndex:
+          for (std::size_t l = 0; l < w; ++l) sp[l] = iters[l][ins.index];
+          sp += w;
+          break;
+        case Op::kRead: {
+          const Access& a = reads_[static_cast<std::size_t>(ins.index)];
+          offsets(a, iters, off, pos);
+          for (std::size_t l = 0; l < w; ++l) sp[l] = a.base[off[l]];
+          sp += w;
           break;
         }
         case Op::kAdd:
-          sp[-2] = sp[-2] + sp[-1];
-          --sp;
+          sp = lanewise('+', sp, w, [](i64 a, i64 b, i64* r) {
+            return __builtin_add_overflow(a, b, r);
+          });
           break;
         case Op::kSub:
-          sp[-2] = sp[-2] - sp[-1];
-          --sp;
+          sp = lanewise('-', sp, w, [](i64 a, i64 b, i64* r) {
+            return __builtin_sub_overflow(a, b, r);
+          });
           break;
         case Op::kMul:
-          sp[-2] = sp[-2] * sp[-1];
-          --sp;
+          sp = lanewise('*', sp, w, [](i64 a, i64 b, i64* r) {
+            return __builtin_mul_overflow(a, b, r);
+          });
           break;
       }
     }
-    i64 off = s.lhs.c0;
-    for (std::size_t k = 0; k < s.lhs.coeffs.size(); ++k)
-      off += s.lhs.coeffs[k] * it[k];
-    s.lhs.base[off] = sp[-1];
+    sp -= w;
+    offsets(s.lhs, iters, off, pos);
+    for (std::size_t l = 0; l < w; ++l) s.lhs.base[off[l]] = sp[l];
   }
 }
 
@@ -151,16 +282,20 @@ void CompiledKernel::run_sequential() {
 
 CompiledKernel CompiledKernel::rebind(ArrayStore& other) const {
   CompiledKernel copy(*this);
-  auto rebase = [&](Access& a) {
+  auto buffer = [&](int ord) -> ArrayStore::Buffer& {
     const loopir::ArrayDecl& decl =
-        nest_.arrays()[static_cast<std::size_t>(a.array_ord)];
+        nest_.arrays()[static_cast<std::size_t>(ord)];
     ArrayStore::Buffer& buf = other.raw_mutable(decl.name);
     // The range proof ran against the construction store's sizes; it
     // transfers only to identically sized buffers.
     VDEP_REQUIRE(buf.size() == store_->raw(decl.name).size(),
                  "CompiledKernel::rebind: store shape differs for array " +
                      decl.name);
-    a.base = buf.data();
+    return buf;
+  };
+  auto rebase = [&](Access& a) {
+    a.base = buffer(a.array_ord).data();
+    for (Gather& g : a.gathers) g.idx = buffer(g.index_ord).data();
   };
   for (Stmt& s : copy.stmts_) rebase(s.lhs);
   for (Access& a : copy.reads_) rebase(a);

@@ -6,14 +6,24 @@
 //     function of the iteration vector (row-major flattening of affine
 //     subscripts is affine), so a read/write becomes a dot product plus a
 //     raw-pointer access;
+//   * one level of indirection (A[B[i]]) adds a gather term per indirect
+//     slot: the position in the index array is affine, the loaded value
+//     is scaled by the slot's row-major stride;
 //   * the rhs expression tree becomes a postfix program over a small value
-//     stack.
+//     stack, with the interpreter's checked int64 semantics: an add, sub or
+//     mul that would wrap throws the same OverflowError.
 //
 // Subscript-in-bounds is established once per (kernel, nest) pair by
-// checking the affine offset's extremes over the iteration box, so the hot
-// path needs no per-access checks.
+// checking every affine offset's extremes — and every index-array
+// position's — over the iteration box, so the affine hot path needs no
+// per-access checks. A gathered value depends on the index array's
+// contents, so it alone is checked on every access against its declared
+// range, failing with the interpreter's PreconditionError.
 #pragma once
 
+#include <span>
+
+#include "exec/kernel.h"
 #include "exec/runner.h"
 
 namespace vdep::exec {
@@ -29,12 +39,35 @@ class CompiledKernel {
   /// kernel itself stays const and shareable across threads.
   struct Scratch {
     std::vector<i64> stack;
+    std::vector<i64> lanes;  ///< execute_batch(): offsets, then positions
   };
-  Scratch make_scratch() const { return Scratch{std::vector<i64>(stack_size_, 0)}; }
+  /// Scratch for batches of up to `lanes` iterations (1: execute_iteration
+  /// only).
+  Scratch make_scratch(std::size_t lanes = 1) const {
+    return Scratch{std::vector<i64>(stack_size_ * lanes, 0),
+                   std::vector<i64>(2 * lanes, 0)};
+  }
 
-  /// Executes all statements at `iter` (no bounds checks on the hot path;
-  /// ranges were proven at compile time).
-  void execute_iteration(const Vec& iter, Scratch& scratch) const;
+  /// Batch width the inspector's compiled leaves use.
+  static constexpr std::size_t kBatch = 64;
+
+  /// Executes all statements at `iter` (no affine bounds checks on the hot
+  /// path; ranges were proven at compile time).
+  void execute_iteration(const Vec& iter, Scratch& scratch) const {
+    execute_iteration(iter.data(), scratch);
+  }
+  /// Same, on `depth` raw coordinates (the inspector's flattened
+  /// iteration table).
+  void execute_iteration(const i64* iter, Scratch& scratch) const;
+
+  /// Executes all statements at each of `iters` (pointers to depth
+  /// coordinates, no more than `scratch` was made for), one postfix op
+  /// over every iteration before the next, so dispatch is paid once per
+  /// batch. A statement's writes land after all its reads, so the
+  /// iterations must be independent: none writes a cell another touches
+  /// (as iterations of distinct inspector classes are).
+  void execute_batch(std::span<const i64* const> iters,
+                     Scratch& scratch) const;
 
   /// Convenience single-threaded form with an internal scratch.
   void execute_iteration(const Vec& iter);
@@ -53,11 +86,22 @@ class CompiledKernel {
   int statement_count() const { return static_cast<int>(stmts_.size()); }
 
  private:
+  /// One indirect slot: adds stride * (idx[dot(pos, iter) + pos0] - lo)
+  /// to the flat offset, after checking the loaded value is in [lo, hi].
+  struct Gather {
+    const i64* idx = nullptr;  // index array buffer
+    Vec pos;                   // buffer position = dot(pos, iter) + pos0
+    i64 pos0 = 0;
+    i64 lo = 0, hi = 0;        // declared range of the indexed dimension
+    i64 stride = 0;
+    int index_ord = 0;         // index array in nest_.arrays(), for rebind()
+  };
   struct Access {
     i64* base = nullptr;   // array buffer
     Vec coeffs;            // flat offset = dot(coeffs, iter) + c0
-    i64 c0 = 0;
+    i64 c0 = 0;            //   (+ the gather terms)
     int array_ord = 0;     // index into nest_.arrays(), for rebind()
+    std::vector<Gather> gathers;
   };
   enum class Op : unsigned char { kPushConst, kPushIndex, kRead, kAdd, kSub, kMul };
   struct Instr {
@@ -72,11 +116,16 @@ class CompiledKernel {
   };
 
   Access compile_access(const loopir::ArrayRef& ref);
+  i64 offset(const Access& a, const i64* it) const;
+  /// offset() of every lane into `off`, term by term over all lanes;
+  /// `pos` is scratch for the gather positions.
+  void offsets(const Access& a, std::span<const i64* const> iters, i64* off,
+               i64* pos) const;
   void compile_expr(const loopir::Expr& e, Stmt& stmt, int depth);
 
   const loopir::LoopNest& nest_;
   ArrayStore* store_ = nullptr;
-  std::vector<std::pair<i64, i64>> box_;
+  Box box_;
   std::vector<Stmt> stmts_;
   std::vector<Access> reads_;
   std::size_t stack_size_ = 16;

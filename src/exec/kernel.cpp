@@ -6,32 +6,46 @@
 
 namespace vdep::exec {
 
+std::optional<Box> iteration_box(const loopir::LoopNest& nest) {
+  poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
+  Box box;
+  for (int k = 0; k < nest.depth(); ++k) {
+    auto r = cs.variable_range(k);
+    if (!r.has_value()) return std::nullopt;
+    box.push_back(*r);
+  }
+  return box;
+}
+
+bool form_within(const loopir::AffineExpr& e, const Box& box, i64 lo,
+                 i64 hi) {
+  i64 emin = e.constant_term(), emax = e.constant_term();
+  for (int k = 0; k < e.depth(); ++k) {
+    const i64 c = e.coeff(k);
+    auto [bl, bh] = box[static_cast<std::size_t>(k)];
+    i64 tmin = 0, tmax = 0;
+    if (__builtin_mul_overflow(c, c >= 0 ? bl : bh, &tmin) ||
+        __builtin_mul_overflow(c, c >= 0 ? bh : bl, &tmax) ||
+        __builtin_add_overflow(emin, tmin, &emin) ||
+        __builtin_add_overflow(emax, tmax, &emax))
+      return false;
+  }
+  return emin >= lo && emax <= hi;
+}
+
 void prove_subscript_ranges(const loopir::LoopNest& nest) {
   if (nest.has_indirection())
     throw UnsupportedError(
         "subscript ranges of indirect references (A[B[i]]) cannot be proven "
         "statically; the inspector validates them at runtime");
-  poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
-  std::vector<std::pair<i64, i64>> box;
-  for (int k = 0; k < nest.depth(); ++k) {
-    auto r = cs.variable_range(k);
-    if (!r.has_value())
-      throw UnsupportedError("unbounded loop cannot be range-proven");
-    box.push_back(*r);
-  }
+  std::optional<Box> box = iteration_box(nest);
+  if (!box) throw UnsupportedError("unbounded loop cannot be range-proven");
   nest.for_each_access([&](const loopir::ArrayRef& ref, int, bool) {
     const loopir::ArrayDecl& decl = nest.array(ref.array);
     for (int d = 0; d < decl.arity(); ++d) {
-      const loopir::AffineExpr& s = ref.subscripts[static_cast<std::size_t>(d)];
       auto [lo, hi] = decl.dims[static_cast<std::size_t>(d)];
-      i64 smin = s.constant_term(), smax = s.constant_term();
-      for (int k = 0; k < nest.depth(); ++k) {
-        i64 c = s.coeff(k);
-        auto [bl, bh] = box[static_cast<std::size_t>(k)];
-        smin = checked::add(smin, checked::mul(c, c >= 0 ? bl : bh));
-        smax = checked::add(smax, checked::mul(c, c >= 0 ? bh : bl));
-      }
-      if (smin < lo || smax > hi)
+      if (!form_within(ref.subscripts[static_cast<std::size_t>(d)], *box, lo,
+                       hi))
         throw UnsupportedError("subscript of " + ref.array +
                                " can leave the declared range");
     }

@@ -1,7 +1,9 @@
 #include "inspect/executor.h"
 
+#include <array>
 #include <memory>
-#include <thread>
+#include <span>
+#include <vector>
 
 #include "exec/compiled.h"
 #include "exec/interpreter.h"
@@ -15,9 +17,7 @@ InspectorExecutor::InspectorExecutor(const loopir::LoopNest& nest,
     : nest_(nest), part_(&partition), opts_(opts) {
   VDEP_REQUIRE(nest_.depth() == part_->depth(),
                "partition depth / nest depth mismatch");
-  threads_ = opts_.num_threads != 0
-                 ? opts_.num_threads
-                 : std::max(1u, std::thread::hardware_concurrency());
+  threads_ = opts_.drive.workers();
   if (opts_.grain > 0) {
     grain_ = opts_.grain;
   } else {
@@ -37,12 +37,10 @@ runtime::TaskDescriptor InspectorExecutor::root() const {
 
 runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store,
                                              ThreadPool* pool) const {
-  // One body shared by every worker: a CompiledKernel when the nest is
-  // affine and provable (per-worker Scratch keeps it const), otherwise the
-  // exact interpreter — which is also the only path that can resolve
-  // indirect subscripts.
+  // One kernel shared by every worker (per-worker Scratch keeps it const);
+  // the interpreter when forced or when the kernel's range proof fails.
   std::shared_ptr<const exec::CompiledKernel> ck;
-  if (!opts_.force_interpreter && !nest_.has_indirection()) {
+  if (!opts_.force_interpreter) {
     try {
       ck = std::make_shared<exec::CompiledKernel>(nest_, store);
     } catch (const Error&) {
@@ -50,41 +48,57 @@ runtime::RuntimeStats InspectorExecutor::run(exec::ArrayStore& store,
     }
   }
 
-  runtime::LeafFactory factory = [&](int, runtime::WorkerStats& stats)
+  const DynamicPartition* part = part_;
+  runtime::LeafFactory factory = [&, part](int, runtime::WorkerStats& stats)
       -> runtime::LeafFn {
-    std::function<void(const Vec&)> body;
+    runtime::WorkerStats* ws = &stats;
     if (ck) {
       auto scratch = std::make_shared<exec::CompiledKernel::Scratch>(
-          ck->make_scratch());
-      body = [ck, scratch](const Vec& it) {
-        ck->execute_iteration(it, *scratch);
-      };
-    } else {
-      const loopir::LoopNest* nest = &nest_;
-      exec::ArrayStore* st = &store;
-      body = [nest, st](const Vec& it) {
-        exec::execute_iteration(*nest, it, *st);
+          ck->make_scratch(exec::CompiledKernel::kBatch));
+      auto cursors = std::make_shared<std::vector<std::span<const i64>>>();
+      return [part, ws, ck, scratch, cursors](
+                 const runtime::TaskDescriptor& task) {
+        // Round j runs the j-th member of every class that has one. The
+        // classes are independent, so each round goes through the kernel
+        // in batches; a class's members run in order, one per round.
+        std::vector<std::span<const i64>>& live = *cursors;
+        live.clear();
+        for (i64 c = task.class_lo; c < task.class_hi; ++c) {
+          live.push_back(part->members(c));
+          ws->iterations += static_cast<i64>(live.back().size());
+        }
+        std::array<const i64*, exec::CompiledKernel::kBatch> lanes;
+        while (!live.empty()) {
+          std::size_t w = 0, kept = 0;
+          for (std::span<const i64> rest : live) {
+            lanes[w++] = part->coords(rest.front());
+            if (w == lanes.size()) {
+              ck->execute_batch({lanes.data(), w}, *scratch);
+              w = 0;
+            }
+            if (rest.size() > 1) live[kept++] = rest.subspan(1);
+          }
+          if (w > 0) ck->execute_batch({lanes.data(), w}, *scratch);
+          live.resize(kept);
+        }
       };
     }
+    const loopir::LoopNest* nest = &nest_;
+    exec::ArrayStore* st = &store;
     auto iter = std::make_shared<Vec>();
-    const DynamicPartition* part = part_;
-    runtime::WorkerStats* ws = &stats;
-    return [part, ws, iter, body = std::move(body)](
-               const runtime::TaskDescriptor& task) {
+    return [part, ws, nest, st, iter](const runtime::TaskDescriptor& task) {
       for (i64 c = task.class_lo; c < task.class_hi; ++c) {
         ws->iterations += part->class_size(c);
-        part->for_each_class_iteration(c, *iter,
-                                       [&](const Vec& it) { body(it); });
+        part->for_each_class_iteration(c, *iter, [&](const Vec& it) {
+          exec::execute_iteration(*nest, it, *st);
+        });
       }
     };
   };
 
   const runtime::DriveSource src{root(), grain_, {}, std::move(factory)};
-  runtime::DriveOptions d;
+  runtime::DriveOptions d = opts_.drive;
   d.threads = threads_;
-  d.trace = opts_.trace;
-  d.metrics = opts_.metrics;
-  d.pin_workers = opts_.pin_workers;
   runtime::RuntimeStats rs = runtime::drive_descriptors({&src, 1}, d, pool);
   if (rs.error) std::rethrow_exception(rs.error);
   return rs;

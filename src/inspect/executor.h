@@ -5,10 +5,15 @@
 // The root descriptor is a pure class range [0, num_classes) — no boxed
 // DOALL dimensions, because the inspector already flattened the space into
 // components. Workers split the class range down to the grain and each
-// leaf replays its classes' iterations in lexicographic order, which is
-// legal because distinct components share no written cell (any ordering of
-// classes gives a bit-identical store) and within a component every
-// dependence points lexicographically forward.
+// leaf replays its classes' iterations, each class in lexicographic order,
+// which is legal because distinct components share no written cell (any
+// interleaving of classes gives a bit-identical store) and within a
+// component every dependence points lexicographically forward. Compiled
+// leaves exploit the first half: they run the leaf's classes in rounds —
+// round j is the j-th member of every class that has one — and hand each
+// round to exec::CompiledKernel::execute_batch, which pays the postfix
+// dispatch once per batch of independent iterations. Interpreter leaves
+// (ExecBackend::kInterpreter, the oracle) walk class by class.
 #pragma once
 
 #include "inspect/inspector.h"
@@ -17,19 +22,16 @@
 namespace vdep::inspect {
 
 struct InspectorExecOptions {
-  /// Worker count; 0 means hardware concurrency.
-  std::size_t num_threads = 0;
+  /// Worker count (0 = hardware concurrency), the tracing/metrics gates
+  /// and pinning, handed to the descriptor driver as they are.
+  runtime::DriveOptions drive;
   /// Classes per leaf descriptor; 0 picks ~tasks_per_worker leaves per
   /// worker (runtime/task.h pick_grain).
   i64 grain = 0;
   i64 tasks_per_worker = 8;
-  /// Skip the compiled-kernel body even for affine nests (tests).
+  /// Run the leaves on the exact interpreter instead of the compiled
+  /// kernel (ExecBackend::kInterpreter: the oracle).
   bool force_interpreter = false;
-  /// Observability gates, same semantics as runtime::StreamOptions.
-  bool trace = true;
-  bool metrics = true;
-  /// Pin workers to topology-assigned cpus (runtime::StreamOptions).
-  bool pin_workers = true;
 };
 
 class InspectorExecutor {
@@ -40,11 +42,12 @@ class InspectorExecutor {
                     const DynamicPartition& partition,
                     InspectorExecOptions opts = {});
 
-  /// Runs every class over `store`. Affine nests execute through a shared
-  /// exec::CompiledKernel (per-worker scratch); indirect nests — or any
-  /// nest the kernel's range proof rejects — through the exact interpreter.
-  /// With `pool` set, the workers are its threads plus the caller. A leaf
-  /// failure is rethrown.
+  /// Runs every class over `store`. Leaves replay their classes through a
+  /// shared exec::CompiledKernel (per-worker scratch; gathers for
+  /// indirect subscripts); a nest the kernel's range proof rejects, or
+  /// force_interpreter, runs on the exact interpreter instead. With `pool`
+  /// set, the workers are its threads plus the caller. A leaf failure
+  /// (out-of-range gathered index, int64 overflow) is rethrown.
   runtime::RuntimeStats run(exec::ArrayStore& store,
                             ThreadPool* pool = nullptr) const;
 

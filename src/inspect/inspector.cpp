@@ -1,11 +1,19 @@
 #include "inspect/inspector.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <exception>
+#include <map>
+#include <memory>
+#include <optional>
+#include <tuple>
+#include <thread>
+#include <type_traits>
+
+#include "exec/kernel.h"
 #include "support/error.h"
 
 namespace vdep::inspect {
@@ -18,163 +26,395 @@ i64 now_ns() {
       .count();
 }
 
-/// One body access, flattened for the per-iteration hot loop: global cell
-/// ids are base + row-major offset, with indirect slots resolved through a
-/// pointer at the index array's raw buffer (no string lookups, no Vec
-/// allocation per access).
-struct FlatAccess {
-  bool write = false;
-  const loopir::ArrayDecl* decl = nullptr;
-  std::uint64_t base = 0;
+/// One written array's cells: slot k holds rank+1 of the first iteration
+/// that writes cell k, 0 while no iteration does. A private anonymous
+/// mapping starts zero without being touched, so only the pages the space
+/// actually writes are ever backed — a sparse target costs its footprint,
+/// not its declared extent.
+class CellTable {
+ public:
+  explicit CellTable(const loopir::ArrayDecl& decl)
+      : bytes_(static_cast<std::size_t>(decl.element_count()) * sizeof(i64)) {
+    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+      throw PreconditionError("inspector cell table for array " + decl.name +
+                              " (" + std::to_string(bytes_) +
+                              " bytes) cannot be mapped");
+    cells_ = static_cast<i64*>(p);
+  }
+  ~CellTable() { ::munmap(cells_, bytes_); }
+  CellTable(const CellTable&) = delete;
+  CellTable& operator=(const CellTable&) = delete;
 
-  struct Sub {
-    const loopir::AffineExpr* aff = nullptr;  ///< affine slot
-    const loopir::AffineExpr* pos = nullptr;  ///< indirect: index position
-    const exec::ArrayStore::Buffer* idx = nullptr;  ///< indirect: index buffer
-    i64 idx_lo = 0;                           ///< indirect: declared lo
-  };
-  std::vector<Sub> subs;
+  i64* cells() const { return cells_; }
+
+ private:
+  std::size_t bytes_;
+  i64* cells_ = nullptr;
 };
 
-std::uint64_t cell_id(const FlatAccess& a, const Vec& iter) {
-  i64 off = 0;
-  for (std::size_t d = 0; d < a.subs.size(); ++d) {
-    const FlatAccess::Sub& s = a.subs[d];
-    i64 v;
-    if (s.idx) {
-      i64 p = s.pos->eval(iter);
-      i64 slot = p - s.idx_lo;
-      VDEP_REQUIRE(slot >= 0 && slot < static_cast<i64>(s.idx->size()),
-                   "index-array position out of declared range");
-      v = (*s.idx)[static_cast<std::size_t>(slot)];
-    } else {
-      v = s.aff->eval(iter);
-    }
-    auto [lo, hi] = a.decl->dims[d];
-    VDEP_REQUIRE(v >= lo && v <= hi,
-                 "array " + a.decl->name + " subscript out of declared range");
-    off = checked::add(checked::mul(off, hi - lo + 1), v - lo);
+/// One distinct body reference, flattened for the per-iteration hot loop:
+/// a cell is the row-major offset inside the array, with indirect slots
+/// resolved through a pointer at the index array's raw buffer (no string
+/// lookups, no Vec allocation per access). A subscript (or position)
+/// proven in range over the iteration box is evaluated unchecked; a
+/// gathered value is always checked.
+struct FlatAccess {
+  struct Sub {
+    Vec coeffs;                 ///< subscript (indirect: position) coeffs
+    i64 c0 = 0;                 ///< constant term (indirect: minus index lo)
+    bool proven = false;        ///< the affine form stays in range
+    const i64* idx = nullptr;   ///< indirect: index array buffer
+    i64 idx_size = 0;           ///< indirect: index array length
+    i64 lo = 0, extent = 0;     ///< declared dimension [lo, lo + extent)
+  };
+  bool write = false;
+  i64* table = nullptr;  ///< the array's cell table; null if never written
+  const std::string* array = nullptr;
+  std::vector<Sub> subs;
+
+  /// Whether every subscript is affine and proven: evaluating the
+  /// reference can neither fail nor find anything.
+  bool proven() const {
+    return std::all_of(subs.begin(), subs.end(),
+                       [](const Sub& s) { return s.proven && !s.idx; });
   }
-  return a.base + static_cast<std::uint64_t>(off);
+};
+
+/// Cell of access `a` at iteration `it` (depth coordinates); throws
+/// PreconditionError when a position or subscript leaves its declared
+/// range, OverflowError when an unproven affine form wraps.
+i64 cell_of(const FlatAccess& a, const i64* it) {
+  i64 off = 0;
+  for (const FlatAccess::Sub& s : a.subs) {
+    i64 v = s.c0;
+    if (s.proven) {
+      for (std::size_t k = 0; k < s.coeffs.size(); ++k) v += s.coeffs[k] * it[k];
+    } else {
+      for (std::size_t k = 0; k < s.coeffs.size(); ++k)
+        v = checked::fma(v, s.coeffs[k], it[k]);
+      if (s.idx)
+        VDEP_REQUIRE(v >= 0 && v < s.idx_size,
+                     "index-array position out of declared range");
+    }
+    if (s.idx) v = s.idx[v];
+    if (s.idx || !s.proven)
+      VDEP_REQUIRE(v >= s.lo && v - s.lo < s.extent,
+                   "array " + *a.array + " subscript out of declared range");
+    off = off * s.extent + (v - s.lo);
+  }
+  return off;
 }
 
-i64 uf_find(std::vector<i64>& parent, i64 x) {
-  while (parent[static_cast<std::size_t>(x)] != x) {
-    // Path halving keeps amortized cost near-constant without recursion.
-    parent[static_cast<std::size_t>(x)] =
-        parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-    x = parent[static_cast<std::size_t>(x)];
+/// Root of `x` in the concurrent union-find forest `parent`. Every
+/// non-root points at a smaller rank and only ever moves to another
+/// ancestor, so path halving may store without a CAS: a racing update
+/// replaces one ancestor with another.
+i64 uf_find(i64* parent, i64 x) {
+  for (;;) {
+    const i64 p = std::atomic_ref<i64>(parent[x]).load(std::memory_order_relaxed);
+    if (p == x) return x;
+    const i64 g = std::atomic_ref<i64>(parent[p]).load(std::memory_order_relaxed);
+    if (g != p)
+      std::atomic_ref<i64>(parent[x]).store(g, std::memory_order_relaxed);
+    x = g;
   }
-  return x;
+}
+
+/// Merges the components of `a` and `b`, always linking the larger root
+/// under the smaller: every root stays its component's first iteration.
+/// Shared, the link is a CAS that fails only when another worker linked
+/// that root first; the retry then starts from the new roots.
+template <bool kShared>
+void uf_unite(i64* parent, i64 a, i64 b) {
+  for (;;) {
+    a = uf_find(parent, a);
+    b = uf_find(parent, b);
+    if (a == b) return;
+    if (a > b) std::swap(a, b);
+    if constexpr (!kShared) {
+      parent[b] = a;
+      return;
+    }
+    i64 expect = b;
+    if (std::atomic_ref<i64>(parent[b]).compare_exchange_weak(
+            expect, a, std::memory_order_relaxed))
+      return;
+  }
+}
+
+/// Lowers a written cell's table slot to rank+1 of writer `r` and returns
+/// whether the cell was unwritten. Shared, an atomic min, so racing chunks
+/// agree on the first writer; alone, ranks ascend and only an unwritten
+/// slot changes. With kLink, `r` also joins the component of the writer
+/// the slot held (the one it displaced, if it displaced one): every value
+/// the slot ever holds is linked to the next, so all the cell's writers
+/// end in one component.
+template <bool kShared, bool kLink>
+bool claim_cell(i64& slot, i64 r, i64* parent) {
+  i64 cur = 0;
+  if constexpr (!kShared) {
+    cur = slot;
+    if (cur == 0) slot = r + 1;
+  } else {
+    std::atomic_ref<i64> ref(slot);
+    cur = ref.load(std::memory_order_relaxed);
+    while ((cur == 0 || cur > r + 1) &&
+           !ref.compare_exchange_weak(cur, r + 1, std::memory_order_relaxed)) {
+    }
+  }
+  if (kLink && cur != 0 && cur != r + 1)
+    uf_unite<kShared>(parent, cur - 1, r);
+  return cur == 0;
+}
+
+/// Number of iterations of levels >= k (`iter` holds the outer
+/// coordinates): the innermost level is counted, not walked.
+i64 count_iterations(const loopir::LoopNest& nest, int k, Vec& iter) {
+  const loopir::Level& l = nest.level(k);
+  const i64 lo = l.lower.eval_lower(iter);
+  const i64 hi = l.upper.eval_upper(iter);
+  if (hi < lo) return 0;
+  if (k + 1 == nest.depth()) return checked::add(checked::sub(hi, lo), 1);
+  i64 n = 0;
+  const std::size_t kk = static_cast<std::size_t>(k);
+  for (i64 v = lo; v <= hi; ++v) {
+    iter[kk] = v;
+    n = checked::add(n, count_iterations(nest, k + 1, iter));
+  }
+  iter[kk] = 0;
+  return n;
+}
+
+/// Writes the coordinates of every iteration of levels >= k, in
+/// lexicographic order, at `out` and returns the end of what it wrote.
+i64* enumerate(const loopir::LoopNest& nest, int k, Vec& iter, i64* out) {
+  const loopir::Level& l = nest.level(k);
+  const i64 lo = l.lower.eval_lower(iter);
+  const i64 hi = l.upper.eval_upper(iter);
+  const std::size_t kk = static_cast<std::size_t>(k);
+  for (i64 v = lo; v <= hi; ++v) {
+    iter[kk] = v;
+    if (k + 1 == nest.depth())
+      for (i64 c : iter) *out++ = c;
+    else
+      out = enumerate(nest, k + 1, iter, out);
+  }
+  iter[kk] = 0;
+  return out;
+}
+
+/// Runs pass(k, shared) for k in [0, workers): on the caller alone for
+/// one worker, with shared a std::false_type so the pass can skip its
+/// atomics; otherwise with std::true_type on `pool` (its threads plus the
+/// caller) when given, else on workers - 1 spawned threads plus the
+/// caller. Rethrows the failure of the lowest failing k — the one a serial
+/// pass over the same chunks in order would have hit first.
+template <class Pass>
+void run_pass(std::size_t workers, ThreadPool* pool, const Pass& pass) {
+  if (workers == 1) {
+    pass(0, std::false_type{});
+    return;
+  }
+  std::vector<std::exception_ptr> errors(workers);
+  auto guarded = [&](std::size_t k) {
+    try {
+      pass(k, std::true_type{});
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  };
+  if (pool) {
+    pool->parallel_for(static_cast<i64>(workers),
+                       [&](i64 k) { guarded(static_cast<std::size_t>(k)); });
+  } else {
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    for (std::size_t k = 1; k < workers; ++k) helpers.emplace_back(guarded, k);
+    guarded(0);
+    for (std::thread& t : helpers) t.join();
+  }
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace
 
 void DynamicPartition::coords_of(i64 it, Vec& out) const {
-  out.resize(static_cast<std::size_t>(depth_));
-  const i64* src = coords_.data() + it * depth_;
-  for (int d = 0; d < depth_; ++d) out[static_cast<std::size_t>(d)] = src[d];
+  out.assign(coords(it), coords(it) + depth_);
 }
 
 DynamicPartition inspect(const loopir::LoopNest& nest,
-                         const exec::ArrayStore& store) {
+                         const exec::ArrayStore& store, std::size_t threads,
+                         ThreadPool* pool, i64 parallel_min) {
   const i64 t0 = now_ns();
   const int depth = nest.depth();
+  DynamicPartition part;
+  part.depth_ = depth;
 
-  // Flatten the body's accesses once; `accesses` keeps the ArrayRefs the
-  // FlatAccess pointers borrow from alive for the whole inspection.
-  const std::vector<loopir::LoopNest::Access> accesses = nest.accesses();
-  std::vector<FlatAccess> flat;
-  flat.reserve(accesses.size());
-  std::uint64_t base = 0;
-  std::unordered_map<std::string, std::uint64_t> base_of;
-  for (const loopir::ArrayDecl& d : nest.arrays()) {
-    base_of[d.name] = base;
-    base += static_cast<std::uint64_t>(d.element_count());
+  // Materialize the iteration coordinates in rank order: the passes cut
+  // them into rank chunks, and the executor replays them later. Counting
+  // first sizes the table once.
+  i64 n = 0;
+  if (depth > 0) {
+    Vec iter(static_cast<std::size_t>(depth), 0);
+    n = count_iterations(nest, 0, iter);
+    part.coords_.resize(static_cast<std::size_t>(checked::mul(n, depth)));
+    enumerate(nest, 0, iter, part.coords_.data());
   }
+
+  // Flatten the body's distinct references once (a read-modify-write such
+  // as A[B[i]] = A[B[i]] + ... is one reference); `accesses` keeps the
+  // ArrayRefs the FlatAccess pointers borrow from alive for the whole
+  // inspection. Every written array gets its cell table.
+  const std::vector<loopir::LoopNest::Access> accesses = nest.accesses();
+  std::map<std::string, std::unique_ptr<CellTable>> tables;
+  for (const auto& a : accesses)
+    if (std::unique_ptr<CellTable>& t = tables[a.ref.array]; a.is_write && !t)
+      t = std::make_unique<CellTable>(nest.array(a.ref.array));
+  const std::optional<exec::Box> box = exec::iteration_box(nest);
+  std::vector<const loopir::ArrayRef*> refs;
+  std::vector<FlatAccess> flat;
   for (const auto& a : accesses) {
+    auto same = std::find_if(refs.begin(), refs.end(),
+                             [&](const loopir::ArrayRef* r) { return *r == a.ref; });
+    if (same != refs.end()) {
+      flat[static_cast<std::size_t>(same - refs.begin())].write |= a.is_write;
+      continue;
+    }
+    refs.push_back(&a.ref);
+    const loopir::ArrayDecl& decl = nest.array(a.ref.array);
     FlatAccess fa;
     fa.write = a.is_write;
-    fa.decl = &nest.array(a.ref.array);
-    fa.base = base_of.at(a.ref.array);
+    fa.array = &decl.name;
+    if (const std::unique_ptr<CellTable>& t = tables.at(a.ref.array))
+      fa.table = t->cells();
     fa.subs.resize(a.ref.subscripts.size());
     for (std::size_t k = 0; k < a.ref.subscripts.size(); ++k) {
+      FlatAccess::Sub& s = fa.subs[k];
+      const loopir::AffineExpr* form = &a.ref.subscripts[k];
+      auto [lo, hi] = decl.dims[k];
       if (k < a.ref.indirect.size() && a.ref.indirect[k].has_value()) {
         const loopir::IndirectSubscript& ind = *a.ref.indirect[k];
-        fa.subs[k].pos = &ind.pos;
-        fa.subs[k].idx = &store.raw(ind.array);
-        fa.subs[k].idx_lo = nest.array(ind.array).dims.front().first;
-      } else {
-        fa.subs[k].aff = &a.ref.subscripts[k];
+        const exec::ArrayStore::Buffer& idx = store.raw(ind.array);
+        form = &ind.pos;
+        s.idx = idx.data();
+        s.idx_size = static_cast<i64>(idx.size());
+        std::tie(lo, hi) = nest.array(ind.array).dims.front();
+        s.c0 = -lo;
       }
+      s.coeffs = form->coeffs();
+      s.c0 = checked::add(s.c0, form->constant_term());
+      s.proven = box && exec::form_within(*form, *box, lo, hi);
+      s.lo = decl.dims[k].first;
+      s.extent = decl.dims[k].second - decl.dims[k].first + 1;
     }
     flat.push_back(std::move(fa));
   }
-
-  // Pass 1: materialize the iteration coordinates (the executor replays
-  // them later) and collect the set of written cells.
-  DynamicPartition part;
-  part.depth_ = depth;
-  std::unordered_set<std::uint64_t> written;
-  nest.for_each_iteration([&](const Vec& iter) {
-    part.coords_.insert(part.coords_.end(), iter.begin(), iter.end());
-    for (const FlatAccess& fa : flat)
-      if (fa.write) written.insert(cell_id(fa, iter));
-  });
-  const i64 n = depth > 0 ? static_cast<i64>(part.coords_.size()) / depth : 0;
-
-  // Pass 2: union every toucher of a written cell with that cell's first
-  // toucher. Read-only cells induce no dependence and are skipped, so the
-  // map stays proportional to the written footprint.
-  std::vector<i64> parent(static_cast<std::size_t>(n));
-  for (i64 k = 0; k < n; ++k) parent[static_cast<std::size_t>(k)] = k;
-  std::unordered_map<std::uint64_t, i64> first_toucher;
-  first_toucher.reserve(written.size());
-  Vec iter(static_cast<std::size_t>(depth), 0);
-  for (i64 it = 0; it < n; ++it) {
-    part.coords_of(it, iter);
-    for (const FlatAccess& fa : flat) {
-      std::uint64_t cell = cell_id(fa, iter);
-      if (!written.count(cell)) continue;
-      auto [pos, fresh] = first_toucher.emplace(cell, it);
-      if (fresh) continue;
-      i64 a = uf_find(parent, pos->second);
-      i64 b = uf_find(parent, it);
-      if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] =
-          std::min(a, b);
+  // Which pass walks which reference. An array every reference of which
+  // writes (the scatter's A[B[i]] = A[B[i]] + ...) only has written cells,
+  // so pass 1 links its touchers as it marks them ("claimed"). Otherwise
+  // pass 1 marks the writes and pass 2 links every reference of the array.
+  // References of arrays no iteration writes induce no dependence: pass 1
+  // only range-checks those it could not prove.
+  std::vector<const FlatAccess*> claimed, marked, linked, checked_only;
+  for (const FlatAccess& fa : flat) {
+    if (!fa.table) {
+      if (!fa.proven()) checked_only.push_back(&fa);
+      continue;
     }
+    const bool all_write =
+        std::all_of(flat.begin(), flat.end(), [&](const FlatAccess& o) {
+          return o.table != fa.table || o.write;
+        });
+    if (all_write) {
+      claimed.push_back(&fa);
+      continue;
+    }
+    if (fa.write) marked.push_back(&fa);
+    linked.push_back(&fa);
   }
 
-  // Classes: one per component (singletons included), numbered by the
-  // lexicographic rank of the first member so class order is deterministic.
-  part.class_of_.assign(static_cast<std::size_t>(n), -1);
-  std::vector<i64> root_class(static_cast<std::size_t>(n), -1);
+  // Workers and their contiguous rank chunks.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers =
+      n < std::max<i64>(parallel_min, 1)
+          ? 1
+          : static_cast<std::size_t>(
+                std::min(static_cast<i64>(threads != 0 ? threads : hw), n));
+  auto chunk = [&](std::size_t k) {
+    const i64 w = static_cast<i64>(workers), kk = static_cast<i64>(k);
+    return std::pair<i64, i64>{n * kk / w, n * (kk + 1) / w};
+  };
+
+  // The union-find forest lives in class_of_, every iteration its own
+  // root to start (before pass 1, which already links across chunks).
+  part.class_of_.resize(static_cast<std::size_t>(n));
+  i64* const parent = part.class_of_.data();
+  for (i64 r = 0; r < n; ++r) parent[r] = r;
+
+  // Pass 1: every written cell's table slot ends as rank+1 of its first
+  // writer; the 0 -> rank+1 step happens once per cell and counts it.
+  std::vector<i64> fresh(workers, 0);
+  run_pass(workers, pool, [&](std::size_t k, auto shared) {
+    auto [lo, hi] = chunk(k);
+    i64 cells = 0;
+    for (i64 r = lo; r < hi; ++r) {
+      const i64* it = part.coords(r);
+      for (const FlatAccess* fa : checked_only) cell_of(*fa, it);
+      for (const FlatAccess* fa : marked)
+        cells += claim_cell<shared(), false>(fa->table[cell_of(*fa, it)], r,
+                                             parent);
+      for (const FlatAccess* fa : claimed)
+        cells += claim_cell<shared(), true>(fa->table[cell_of(*fa, it)], r,
+                                            parent);
+    }
+    fresh[k] = cells;
+  });
+
+  // Pass 2: every toucher of a written cell of the other arrays joins its
+  // first writer's component.
+  if (!linked.empty()) {
+    run_pass(workers, pool, [&](std::size_t k, auto shared) {
+      auto [lo, hi] = chunk(k);
+      for (i64 r = lo; r < hi; ++r) {
+        const i64* it = part.coords(r);
+        for (const FlatAccess* fa : linked) {
+          const i64 first = fa->table[cell_of(*fa, it)] - 1;
+          if (first >= 0 && first != r) uf_unite<shared()>(parent, first, r);
+        }
+      }
+    });
+  }
+
+  // Classes: every root is its component's first iteration and every
+  // parent precedes its child, so one ascending sweep numbers the roots
+  // in rank order (a prefix count over the roots) and hands every other
+  // iteration its parent's class — in place, since a parent's slot already
+  // holds its class when its child reads it. The numbering is the one a
+  // serial inspection gives, whatever the worker count.
   i64 num_classes = 0;
-  for (i64 it = 0; it < n; ++it) {
-    i64 r = uf_find(parent, it);
-    if (root_class[static_cast<std::size_t>(r)] < 0)
-      root_class[static_cast<std::size_t>(r)] = num_classes++;
-    part.class_of_[static_cast<std::size_t>(it)] =
-        root_class[static_cast<std::size_t>(r)];
-  }
+  for (i64 it = 0; it < n; ++it)
+    parent[it] = parent[it] == it ? num_classes++ : parent[parent[it]];
 
-  // CSR (counting sort by class; members stay in ascending rank order).
-  part.offsets_.assign(static_cast<std::size_t>(num_classes) + 1, 0);
-  for (i64 c : part.class_of_) ++part.offsets_[static_cast<std::size_t>(c) + 1];
+  // CSR: a counting sort by class, members in ascending rank order. Class
+  // c counts into offsets_[c + 2], so after the prefix sum offsets_[c + 1]
+  // is c's start and serves as its scatter cursor, ending as c + 1's start.
+  part.offsets_.assign(static_cast<std::size_t>(num_classes) + 2, 0);
+  for (i64 it = 0; it < n; ++it) ++part.offsets_[static_cast<std::size_t>(parent[it]) + 2];
   for (std::size_t k = 1; k < part.offsets_.size(); ++k)
     part.offsets_[k] += part.offsets_[k - 1];
   part.members_.resize(static_cast<std::size_t>(n));
-  std::vector<i64> cursor(part.offsets_.begin(), part.offsets_.end() - 1);
-  for (i64 it = 0; it < n; ++it) {
-    i64 c = part.class_of_[static_cast<std::size_t>(it)];
+  for (i64 it = 0; it < n; ++it)
     part.members_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(c)]++)] = it;
-  }
+        part.offsets_[static_cast<std::size_t>(parent[it]) + 1]++)] = it;
+  part.offsets_.pop_back();
 
   InspectStats& st = part.stats_;
   st.iterations = n;
   st.classes = num_classes;
-  st.written_cells = static_cast<i64>(written.size());
+  for (i64 f : fresh) st.written_cells += f;
   for (i64 c = 0; c < num_classes; ++c) {
     i64 sz = part.class_size(c);
     st.max_component = std::max(st.max_component, sz);

@@ -12,15 +12,23 @@
 // components share no written cell and can run concurrently; within a
 // component, original lexicographic order preserves every dependence.
 //
-// The builder is element-indexed and near-linear: one pass collects the set
-// of written cells, a second unions every toucher of a written cell with
-// that cell's first toucher (a hash map from cell id to representative).
-// Cost is O(accesses x alpha) with one hash probe per access — not the
-// O(n^2) all-pairs walk of the brute-force exec::build_isdg, which remains
-// the ground truth the inspector is tested against.
+// The builder is flat and hash-free (docs/INSPECTOR.md). Every written
+// array gets a dense table, one slot per cell, zero until pass 1 stores
+// rank+1 of the cell's first writer; pass 2 links every iteration that
+// touches a written cell to that writer in a concurrent union-find that
+// always links toward the smaller rank. Both passes run over contiguous
+// rank chunks on the caller's workers. Each component's root is then its
+// first iteration, so a prefix count over the roots numbers the classes
+// exactly as a serial inspection would: the partition and its statistics
+// are identical at every thread count. Cost is O(accesses x alpha) — not
+// the O(n^2) all-pairs walk of the brute-force exec::build_isdg, which
+// remains the ground truth the inspector is tested against.
 #pragma once
 
+#include <span>
+
 #include "exec/array_store.h"
+#include "support/thread_pool.h"
 
 namespace vdep::inspect {
 
@@ -54,6 +62,13 @@ class DynamicPartition {
   i64 class_size(i64 c) const { return offset(c + 1) - offset(c); }
   /// Class id of iteration rank `it` (lexicographic enumeration order).
   i64 class_of(i64 it) const { return class_of_[static_cast<std::size_t>(it)]; }
+  /// Iteration ranks of class `c`, ascending.
+  std::span<const i64> members(i64 c) const {
+    return {members_.data() + offset(c),
+            static_cast<std::size_t>(class_size(c))};
+  }
+  /// The depth() coordinates of iteration rank `it`.
+  const i64* coords(i64 it) const { return coords_.data() + it * depth_; }
   /// Coordinates of iteration rank `it`, written into `out`.
   void coords_of(i64 it, Vec& out) const;
 
@@ -61,25 +76,38 @@ class DynamicPartition {
   /// a scratch vector reused across calls (resized to depth()).
   template <typename Fn>
   void for_each_class_iteration(i64 c, Vec& iter, Fn&& fn) const {
-    for (i64 m = offset(c); m < offset(c + 1); ++m) {
-      coords_of(members_[static_cast<std::size_t>(m)], iter);
+    for (i64 m : members(c)) {
+      coords_of(m, iter);
       fn(static_cast<const Vec&>(iter));
     }
   }
 
  private:
   friend DynamicPartition inspect(const loopir::LoopNest& nest,
-                                  const exec::ArrayStore& store);
+                                  const exec::ArrayStore& store,
+                                  std::size_t threads, ThreadPool* pool,
+                                  i64 parallel_min);
 
   i64 offset(i64 c) const { return offsets_[static_cast<std::size_t>(c)]; }
 
+  /// Sized without being written: the inspection writes every element.
+  using Table = std::vector<i64, exec::UninitAlloc<i64>>;
+
   int depth_ = 0;
-  std::vector<i64> coords_;    ///< flattened iteration coords, size N*depth
-  std::vector<i64> class_of_;  ///< iteration rank -> class id
-  std::vector<i64> members_;   ///< iteration ranks grouped by class
+  Table coords_;               ///< flattened iteration coords, size N*depth
+  Table class_of_;             ///< iteration rank -> class id
+  Table members_;              ///< iteration ranks grouped by class
   std::vector<i64> offsets_;   ///< CSR offsets into members_, size K+1
   InspectStats stats_;
 };
+
+/// Smallest space whose passes run on more than one worker. Below it the
+/// cell tables and the forest fit a core's L2 (2 MiB on the 4-vCPU Xeon
+/// host measured in docs/INSPECTOR.md), a serial pass is latency-bound
+/// there, and sharing them makes every worker wait on the others' cache
+/// lines: four workers inspect a 2^19-iteration scatter 15% slower than
+/// one, a 2^20-iteration one 20% faster.
+inline constexpr i64 kParallelMinIterations = i64{1} << 20;
 
 /// Inspects `nest` at its current bounds against `store` (which must hold
 /// the index arrays for any indirect subscript; index arrays are read-only
@@ -87,7 +115,15 @@ class DynamicPartition {
 /// mutates data arrays). Throws PreconditionError when a subscript leaves
 /// its declared range — the same condition sequential execution would trip
 /// on, detected before any write happens.
+///
+/// Spaces of `parallel_min` iterations or more run the two passes on
+/// `threads` workers (0 = hardware concurrency): with `pool` set, its
+/// threads plus the caller, otherwise threads - 1 spawned helpers plus the
+/// caller; smaller spaces run on the caller alone. The result — classes,
+/// members and statistics — does not depend on the worker count.
 DynamicPartition inspect(const loopir::LoopNest& nest,
-                         const exec::ArrayStore& store);
+                         const exec::ArrayStore& store,
+                         std::size_t threads = 1, ThreadPool* pool = nullptr,
+                         i64 parallel_min = kParallelMinIterations);
 
 }  // namespace vdep::inspect

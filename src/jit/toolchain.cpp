@@ -436,12 +436,11 @@ Expected<std::shared_ptr<const NativeKernel>> ToolchainCompiler::compile_source(
   }
 
   // -fwrapv: suite kernels (e.g. uniform_wavefront) overflow i64 at large
-  // sizes. The postfix CompiledKernel computes with plain (two's-
-  // complement-wrapping in practice) C++ arithmetic, so the native kernel
-  // must wrap identically rather than let the C optimizer exploit the UB.
-  // (The tree-walking interpreter is stricter still — checked:: arithmetic
-  // that *throws* on overflow — so kInterpreter errors where kCompiled and
-  // kJit agree on wrapped values.)
+  // sizes, and the emitted C uses plain arithmetic, so the native kernel
+  // wraps rather than let the C optimizer exploit the UB. The interpreter
+  // and the postfix CompiledKernel throw OverflowError instead, so there
+  // kJit returns wrapped values where kInterpreter and kCompiled return
+  // kOverflow; checked arithmetic in the emitted C is still open.
   std::string cmd = shell_quote(*cc_) + " " + meta.opt_flags +
                     " -fwrapv -fPIC -shared -x c " +
                     shell_quote(c_path.string()) + " -o " +

@@ -105,9 +105,14 @@ bool effective_pin(bool opt_in, std::size_t threads) {
 
 }  // namespace detail
 
+std::size_t DriveOptions::workers() const {
+  return threads != 0 ? threads
+                      : std::max(1u, std::thread::hardware_concurrency());
+}
+
 RuntimeStats drive_descriptors(std::span<const DriveSource> sources,
                                const DriveOptions& opts, ThreadPool* pool) {
-  const std::size_t threads = std::max<std::size_t>(opts.threads, 1);
+  const std::size_t threads = opts.workers();
   const std::size_t ns = sources.size();
   RuntimeStats out;
   out.workers.resize(threads);

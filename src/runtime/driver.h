@@ -52,9 +52,13 @@ struct DriveSource {
   LeafFactory leaf_factory;
 };
 
+/// Workers, observability gates and pinning of one run. The executors
+/// (runtime::StreamExecutor, inspect::InspectorExecutor) carry one of these
+/// in their options instead of copying its fields.
 struct DriveOptions {
-  /// Worker contexts (the caller is context 0 when no pool is given).
-  std::size_t threads = 1;
+  /// Worker contexts (the caller is context 0 when no pool is given); 0
+  /// means hardware concurrency.
+  std::size_t threads = 0;
   /// Allow this run to emit trace events when the global obs::TraceRecorder
   /// is enabled (leaf spans, split/steal/idle events).
   bool trace = true;
@@ -65,9 +69,12 @@ struct DriveOptions {
   /// exit). Also honors the VDEP_PIN=0 environment opt-out; no-op on hosts
   /// without sched_setaffinity.
   bool pin_workers = true;
+
+  /// `threads` with 0 resolved to the hardware concurrency.
+  std::size_t workers() const;
 };
 
-/// Runs every source's root down to its grain across `opts.threads`
+/// Runs every source's root down to its grain across `opts.workers()`
 /// work-stealing workers and every leaf through its source's LeafFns.
 ///
 /// Seeding, before any worker starts: the nonempty roots are the first

@@ -1,7 +1,6 @@
 #include "runtime/stream_executor.h"
 
 #include <optional>
-#include <thread>
 
 #include "analysis/interval.h"
 #include "exec/compiled.h"
@@ -43,9 +42,7 @@ StreamExecutor::StreamExecutor(const loopir::LoopNest& original,
   int limit = opts_.split_dims > 0 ? opts_.split_dims : TaskDescriptor::kMaxDims;
   ndims_ = std::min(num_doall_, std::min(limit, TaskDescriptor::kMaxDims));
   if (opts_.locality_splits) compute_split_prefs();
-  threads_ = opts_.num_threads != 0
-                 ? opts_.num_threads
-                 : std::max(1u, std::thread::hardware_concurrency());
+  threads_ = opts_.drive.workers();
   if (opts_.grain > 0) {
     grain_ = opts_.grain;
   } else {
@@ -211,11 +208,8 @@ RuntimeStats StreamExecutor::drive(LeafFactory leaf_factory,
   // inspector executor and the batch API); this executor only supplies the
   // root box, the grain, and the plan-scanning leaves.
   const DriveSource src{root(), grain_, split_prefs_, std::move(leaf_factory)};
-  DriveOptions d;
+  DriveOptions d = opts_.drive;
   d.threads = threads_;
-  d.trace = opts_.trace;
-  d.metrics = opts_.metrics;
-  d.pin_workers = opts_.pin_workers;
   RuntimeStats rs = drive_descriptors({&src, 1}, d, pool);
   if (rs.error) std::rethrow_exception(rs.error);
   return rs;

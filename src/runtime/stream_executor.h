@@ -39,8 +39,12 @@ namespace vdep::runtime {
 using intlin::Vec;
 
 struct StreamOptions {
-  /// Worker count; 0 means hardware concurrency.
-  std::size_t num_threads = 0;
+  /// Worker count (0 = hardware concurrency), the tracing/metrics gates
+  /// and pinning, handed to the descriptor driver as they are. Pinning
+  /// places each worker on its topology-assigned cpu for the run (previous
+  /// affinity restored afterwards; VDEP_PIN=0 overrides from outside);
+  /// results are bit-identical either way — only placement changes.
+  DriveOptions drive;
   /// Descriptor grain in cells; 0 picks ~tasks_per_worker leaves per
   /// worker (task.h pick_grain).
   i64 grain = 0;
@@ -52,22 +56,11 @@ struct StreamOptions {
   int split_dims = 0;
   /// Skip the compiled kernel and always interpret (tests / debugging).
   bool force_interpreter = false;
-  /// Pin each worker to its topology-assigned cpu for the run (previous
-  /// affinity restored afterwards); VDEP_PIN=0 overrides from outside.
-  /// Results are bit-identical either way — only placement changes.
-  bool pin_workers = true;
   /// Prefer splitting descriptors along the axis with the largest address
   /// stride (keeps each leaf's touched rows contiguous; task.h SplitPrefs),
   /// falling back to the longest axis when the plan gives no signal. Off:
   /// always longest-axis.
   bool locality_splits = true;
-  /// Allow this run to emit trace events when the global obs::TraceRecorder
-  /// is enabled (leaf spans, split/steal/idle events). Off, the run never
-  /// touches the recorder regardless of its state.
-  bool trace = true;
-  /// Same gate for the global obs::MetricsRegistry (histograms during the
-  /// run + per-worker counters at the end).
-  bool metrics = true;
 };
 
 class StreamExecutor {

@@ -635,5 +635,24 @@ TEST(OverflowDiagnostic, WavefrontOverflowIsTypedNotSilent) {
   EXPECT_TRUE(small.check(ExecPolicy{}.threads(2))->verified);
 }
 
+TEST(OverflowDiagnostic, CompiledKernelRefusesWhereTheInterpreterDoes) {
+  // execute() without the sequential reference: the postfix kernel's
+  // checked add turns the wrap into the driver's first-error abort, so
+  // kCompiled answers kOverflow exactly like the interpreter oracle.
+  Compiler compiler;
+  CompiledLoop big = compiler.compile(core::uniform_wavefront(60)).value();
+  for (ExecBackend bk : {ExecBackend::kInterpreter, ExecBackend::kCompiled}) {
+    exec::ArrayStore store(big.nest());
+    store.fill_pattern();
+    Expected<ExecReport> r =
+        big.execute(ExecPolicy{}.threads(2).backend(bk), store);
+    ASSERT_FALSE(r.has_value()) << static_cast<int>(bk);
+    EXPECT_EQ(r.error().kind, ErrorKind::kOverflow);
+    EXPECT_NE(r.error().message.find("int64 overflow in add("),
+              std::string::npos)
+        << r.error().message;
+  }
+}
+
 }  // namespace
 }  // namespace vdep

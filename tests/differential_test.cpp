@@ -33,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/vdep.h"
@@ -326,9 +327,11 @@ void cross_check(const Compiler& compiler, const LoopNest& nest,
 }
 
 /// Indirect nests have exactly one parallel strategy — the runtime
-/// inspector — so the differential axis is inspector-vs-sequential across
-/// worker counts (every ExecPolicy backend routes to the inspector for a
-/// non-affine nest; kInspector is pinned explicitly for clarity).
+/// inspector: every ExecPolicy backend routes a non-affine nest to it. The
+/// differential axis is its two leaf kinds across worker counts: kCompiled
+/// (the default) replays classes through compiled gather leaves,
+/// kInterpreter forces interpreter leaves, the oracle. Both must match the
+/// sequential reference bit for bit.
 void indirect_cross_check(const Compiler& compiler, const IndirectCase& c,
                           const std::string& trace, FuzzStats& stats) {
   Expected<CompiledLoop> loop = compiler.compile(c.nest);
@@ -347,27 +350,33 @@ void indirect_cross_check(const Compiler& compiler, const IndirectCase& c,
   exec::ArrayStore ref = init;
   exec::run_sequential(c.nest, ref);
 
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    exec::ArrayStore got = init;
-    ExecPolicy policy;
-    policy.backend(ExecBackend::kInspector).threads(threads);
-    Expected<ExecReport> rep = loop->execute(policy, got);
-    if (!rep) {
-      stats.failures.push_back("indirect execute(threads=" +
-                               std::to_string(threads) +
-                               ") failed: " + rep.error().to_string() + "\n" +
-                               trace + c.nest.to_string());
-      continue;
-    }
-    if (!rep->inspector) {
-      stats.failures.push_back("indirect nest did not run via the inspector\n" +
-                               trace + c.nest.to_string());
-    }
-    if (!(got == ref)) {
-      stats.failures.push_back(
-          "inspector at " + std::to_string(threads) +
-          " thread(s) diverged from sequential (" + c.shape + ")\n" + trace +
-          c.nest.to_string());
+  const std::pair<ExecBackend, const char*> leaves[] = {
+      {ExecBackend::kInterpreter, "interpreter"},
+      {ExecBackend::kCompiled, "compiled"}};
+  for (auto [backend, leaf] : leaves) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      exec::ArrayStore got = init;
+      ExecPolicy policy;
+      policy.backend(backend).threads(threads);
+      Expected<ExecReport> rep = loop->execute(policy, got);
+      const std::string where = std::string(leaf) + " leaves at " +
+                                std::to_string(threads) + " thread(s)";
+      if (!rep) {
+        stats.failures.push_back("indirect execute (" + where +
+                                 ") failed: " + rep.error().to_string() +
+                                 "\n" + trace + c.nest.to_string());
+        continue;
+      }
+      if (!rep->inspector) {
+        stats.failures.push_back(
+            "indirect nest did not run via the inspector\n" + trace +
+            c.nest.to_string());
+      }
+      if (!(got == ref)) {
+        stats.failures.push_back("inspector with " + where +
+                                 " diverged from sequential (" + c.shape +
+                                 ")\n" + trace + c.nest.to_string());
+      }
     }
   }
 }

@@ -3,9 +3,13 @@
 // paper's transformations.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "codegen/rewrite.h"
+#include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/compiled.h"
+#include "exec/interpreter.h"
 #include "exec/isdg.h"
 #include "exec/verify.h"
 #include "loopir/builder.h"
@@ -306,6 +310,66 @@ TEST(Compiled, RejectsOutOfRangeSubscript) {
   LoopNest nest = b.build();
   ArrayStore s(nest);
   EXPECT_THROW(CompiledKernel(nest, s), PreconditionError);
+}
+
+/// A[B[i - 1]] = A[B[i - 1]] * 3 + C[i] over i in [1, 12].
+LoopNest gather_nest() {
+  LoopNestBuilder b;
+  b.loop("i", 1, 12);
+  b.array("A", {{-2, 5}});
+  b.array("B", {{0, 11}});
+  b.array("C", {{1, 12}});
+  loopir::ArrayRef a;
+  a.array = "A";
+  a.subscripts = {b.cst(0)};
+  a.indirect = {loopir::IndirectSubscript{"B", b.affine({1}, -1)}};
+  b.assign(a, Expr::add(Expr::mul(Expr::read(a), Expr::constant(3)),
+                        b.read("C", {b.idx(0)})));
+  return b.build();
+}
+
+TEST(Compiled, GatherMatchesInterpreter) {
+  LoopNest nest = gather_nest();
+  ArrayStore x(nest), y(nest);
+  x.fill_pattern();
+  for (i64 k = 0; k < 12; ++k) x.write("B", Vec{k}, (k * 5) % 8 - 2);
+  y = x;
+  run_sequential(nest, x);
+  CompiledKernel(nest, y).run_sequential();
+  EXPECT_EQ(x, y);
+}
+
+TEST(Compiled, GatheredIndexOutOfRangeIsAPreconditionError) {
+  // The position i - 1 is proven once; the loaded value can only be
+  // checked when it is loaded — with the interpreter's error type.
+  LoopNest nest = gather_nest();
+  ArrayStore s(nest);
+  s.write("B", Vec{7}, 6);  // A is declared [-2, 5]
+  CompiledKernel k(nest, s);
+  EXPECT_THROW(k.run_sequential(), PreconditionError);
+  EXPECT_THROW(run_sequential(nest, s), PreconditionError);
+}
+
+TEST(Compiled, PostfixOverflowThrowsLikeTheInterpreter) {
+  LoopNest nest = core::uniform_wavefront(60);
+  ArrayStore x(nest), y(nest);
+  x.fill_pattern();
+  y.fill_pattern();
+  std::string oracle, compiled;
+  try {
+    run_sequential(nest, x);
+  } catch (const OverflowError& e) {
+    oracle = e.what();
+  }
+  try {
+    CompiledKernel(nest, y).run_sequential();
+  } catch (const OverflowError& e) {
+    compiled = e.what();
+  }
+  EXPECT_FALSE(oracle.empty());
+  EXPECT_EQ(compiled, oracle);
+  // Sequential order: both stopped at the same statement, before writing.
+  EXPECT_EQ(x, y);
 }
 
 TEST(Compiled, ScheduleExecutionMatchesSequential) {

@@ -1,11 +1,15 @@
-// Inspector–executor tests: the element-indexed hash inspector
-// (src/inspect/) against the brute-force ISDG ground truth, the static
-// partitioner as a correctness oracle on the affine paper suite, and the
+// Inspector–executor tests: the flat inspector (src/inspect/) against the
+// brute-force ISDG ground truth and against itself at every worker count,
+// the static partitioner as a correctness oracle on the affine paper
+// suite, compiled gather leaves against the interpreter, and the
 // end-to-end API path for indirect subscripts (A[B[i]]).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,7 +108,7 @@ LoopNest indirect_nest(i64 n, i64 a_hi) {
 
 TEST(Inspector, ComponentsMatchBruteForceIsdgAffine) {
   // Figure 2/3 structure (example 4.1), Figure 4/5 structure (example 4.2),
-  // plus a uniform and a fully serial nest. The hash inspector must produce
+  // plus a uniform and a fully serial nest. The inspector must produce
   // exactly the weak components of the brute-force all-pairs ISDG.
   std::vector<LoopNest> nests = {
       core::example41(6), core::example42(6), core::uniform_blocked(6),
@@ -191,10 +195,198 @@ TEST(Inspector, DuplicateIndexWritesSerializeIntoOneClass) {
   exec::ArrayStore ref = store;
   exec::run_sequential(nest, ref);
   inspect::InspectorExecOptions io;
-  io.num_threads = 8;
+  io.drive.threads = 8;
   inspect::InspectorExecutor ex(nest, part, io);
   ex.run(store);
   EXPECT_TRUE(store == ref);
+}
+
+// ----------------------------- parallel passes, compiled gather leaves
+
+/// One indirect nest of the determinism and leaf tests, with the index
+/// values its B array holds.
+struct IndirectCase {
+  std::string name;
+  LoopNest nest;
+  std::vector<i64> index;
+};
+
+/// Index values over [0, targets) in the three shapes of the differential
+/// fuzz: duplicate-heavy, a permutation (targets == count) and a monotone
+/// ramp.
+std::vector<i64> index_values(const std::string& shape, i64 count,
+                              i64 targets) {
+  std::vector<i64> v(static_cast<std::size_t>(count));
+  for (i64 k = 0; k < count; ++k) {
+    i64& x = v[static_cast<std::size_t>(k)];
+    if (shape == "duplicates") x = (k * 2654435761ll) % targets;
+    if (shape == "permutation") x = (k * 7919 + 13) % count;
+    if (shape == "monotone") x = k * targets / count;
+  }
+  return v;
+}
+
+std::vector<IndirectCase> indirect_cases() {
+  const i64 n = 3000;
+  auto parse = [](const std::string& src) {
+    Expected<LoopNest> nest = dsl::try_parse_loop_nest(src);
+    EXPECT_TRUE(nest) << nest.error().to_string();
+    return *nest;
+  };
+  const std::string decls = "array A[0:" + std::to_string(n - 1) +
+                            "]\narray B[0:" + std::to_string(n - 1) + "]\n";
+  std::vector<IndirectCase> out;
+  const std::pair<const char*, i64> shapes[] = {
+      {"duplicates", n / 8}, {"permutation", n}, {"monotone", n / 3}};
+  for (auto [shape, targets] : shapes) {
+    out.push_back({std::string("A[B[i]] ") + shape,
+                   parse(decls + "array C[0:" + std::to_string(n - 1) +
+                         "]\ndo i = 0, " + std::to_string(n - 1) +
+                         "\n  A[B[i]] = A[B[i]] + C[i]\nenddo\n"),
+                   index_values(shape, n, targets)});
+  }
+  out.push_back({"A[B[i - 1]]",
+                 parse(decls + "array C[1:" + std::to_string(n) +
+                       "]\ndo i = 1, " + std::to_string(n) +
+                       "\n  A[B[i - 1]] = A[B[i - 1]] * 3 + C[i]\nenddo\n"),
+                 index_values("duplicates", n, n / 5)});
+  out.push_back({"A[B[i], j]",
+                 parse("array A[0:40, 0:15]\narray B[0:199]\n"
+                       "array C[0:199, 0:15]\n"
+                       "do i = 0, 199\n  do j = 0, 15\n"
+                       "    A[B[i], j] = A[B[i], 15 - j] + C[i, j]\n"
+                       "  enddo\nenddo\n"),
+                 index_values("duplicates", 200, 41)});
+  return out;
+}
+
+exec::ArrayStore store_for(const IndirectCase& c) {
+  exec::ArrayStore store(c.nest);
+  store.fill_pattern();
+  for (std::size_t k = 0; k < c.index.size(); ++k)
+    store.write("B", Vec{static_cast<i64>(k)}, c.index[k]);
+  return store;
+}
+
+/// Everything an inspection produces except its wall time.
+void expect_same_partition(const inspect::DynamicPartition& want,
+                           const inspect::DynamicPartition& got,
+                           const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  ASSERT_EQ(got.num_classes(), want.num_classes()) << what;
+  for (i64 it = 0; it < want.size(); ++it)
+    ASSERT_EQ(got.class_of(it), want.class_of(it)) << what << " rank " << it;
+  for (i64 c = 0; c < want.num_classes(); ++c) {
+    std::span<const i64> a = want.members(c), b = got.members(c);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << what << " class " << c;
+  }
+  const inspect::InspectStats& a = want.stats();
+  const inspect::InspectStats& b = got.stats();
+  EXPECT_EQ(b.iterations, a.iterations) << what;
+  EXPECT_EQ(b.classes, a.classes) << what;
+  EXPECT_EQ(b.chains, a.chains) << what;
+  EXPECT_EQ(b.max_component, a.max_component) << what;
+  EXPECT_EQ(b.dependent_iterations, a.dependent_iterations) << what;
+  EXPECT_EQ(b.written_cells, a.written_cells) << what;
+}
+
+TEST(Inspector, PartitionIdenticalAtEveryThreadCount) {
+  // parallel_min 0 forces the parallel passes at these small sizes: the
+  // concurrent union-find links in a different order on every run, yet
+  // class ids, members and statistics must come out as the serial pass's.
+  ThreadPool pool(3);
+  for (const IndirectCase& c : indirect_cases()) {
+    exec::ArrayStore store = store_for(c);
+    const inspect::DynamicPartition serial = inspect::inspect(c.nest, store);
+    EXPECT_EQ(serial.stats().chains == 0,
+              c.name.find("permutation") != std::string::npos)
+        << c.name;
+    for (std::size_t threads : {1u, 2u, 4u, 8u})
+      expect_same_partition(
+          serial, inspect::inspect(c.nest, store, threads, nullptr, 0),
+          c.name + " at " + std::to_string(threads) + " threads");
+    expect_same_partition(serial, inspect::inspect(c.nest, store, 4, &pool, 0),
+                          c.name + " on a pool");
+  }
+}
+
+TEST(Inspector, CompiledGatherLeavesMatchInterpreterLeaves) {
+  for (const IndirectCase& c : indirect_cases()) {
+    exec::ArrayStore init = store_for(c);
+    exec::ArrayStore ref = init;
+    exec::run_sequential(c.nest, ref);
+    const inspect::DynamicPartition part = inspect::inspect(c.nest, init);
+    for (bool interpret : {true, false}) {
+      inspect::InspectorExecOptions io;
+      io.drive.threads = 4;
+      io.force_interpreter = interpret;
+      exec::ArrayStore got = init;
+      runtime::RuntimeStats rs =
+          inspect::InspectorExecutor(c.nest, part, io).run(got);
+      EXPECT_EQ(rs.total_iterations(), part.size()) << c.name;
+      EXPECT_TRUE(got == ref)
+          << c.name << (interpret ? " interpreter" : " compiled")
+          << " leaves diverged from sequential";
+    }
+  }
+}
+
+/// The scatter of the error tests: A[B[i]] = A[B[i]] + C[i], A[0:7].
+const char* const kSmallScatter =
+    "array A[0:7]\narray B[0:31]\narray C[0:31]\n"
+    "do i = 0, 31\n  A[B[i]] = A[B[i]] + C[i]\nenddo\n";
+
+TEST(Inspector, OutOfRangeIndexIsAPreconditionErrorFromEveryBackend) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(kSmallScatter).value();
+  exec::ArrayStore init(loop.nest());
+  init.fill_pattern();
+  for (i64 i = 0; i < 32; ++i) init.write("B", Vec{i}, i % 8);
+  init.write("B", Vec{17}, 8);
+  for (ExecBackend bk : {ExecBackend::kInterpreter, ExecBackend::kCompiled,
+                         ExecBackend::kJit, ExecBackend::kInspector}) {
+    exec::ArrayStore store = init;
+    Expected<ExecReport> r =
+        loop.execute(ExecPolicy{}.threads(4).backend(bk), store);
+    ASSERT_FALSE(r) << static_cast<int>(bk);
+    EXPECT_EQ(r.error().kind, ErrorKind::kPrecondition)
+        << static_cast<int>(bk) << ": " << r.error().to_string();
+  }
+
+  // The inspection catches it first on that path; the leaves check each
+  // gathered index themselves, so a partition gone stale on its index
+  // array fails the same way instead of writing out of bounds.
+  exec::ArrayStore store = init;
+  store.write("B", Vec{17}, 1);
+  const inspect::DynamicPartition part = inspect::inspect(loop.nest(), store);
+  store.write("B", Vec{17}, 8);
+  for (bool interpret : {true, false}) {
+    inspect::InspectorExecOptions io;
+    io.drive.threads = 2;
+    io.force_interpreter = interpret;
+    inspect::InspectorExecutor ex(loop.nest(), part, io);
+    EXPECT_THROW(ex.run(store), PreconditionError) << interpret;
+  }
+}
+
+TEST(Inspector, OverflowingScatterIsAnOverflowErrorFromEveryBackend) {
+  Compiler compiler;
+  CompiledLoop loop = compiler.compile(kSmallScatter).value();
+  exec::ArrayStore init(loop.nest());
+  for (i64 i = 0; i < 32; ++i) {
+    init.write("B", Vec{i}, i % 8);
+    init.write("C", Vec{i}, std::numeric_limits<i64>::max() / 2);
+  }
+  for (ExecBackend bk : {ExecBackend::kInterpreter, ExecBackend::kCompiled,
+                         ExecBackend::kJit, ExecBackend::kInspector}) {
+    exec::ArrayStore store = init;
+    Expected<ExecReport> r =
+        loop.execute(ExecPolicy{}.threads(4).backend(bk), store);
+    ASSERT_FALSE(r) << static_cast<int>(bk);
+    EXPECT_EQ(r.error().kind, ErrorKind::kOverflow)
+        << static_cast<int>(bk) << ": " << r.error().to_string();
+  }
 }
 
 // ------------------------------------------- Figure 2 statistics pinned
@@ -203,7 +395,7 @@ TEST(Inspector, Figure2StatisticsAgreeAcrossRenderings) {
   // example 4.1 at n=10 — the Figure 2 space (21x21 box, variable
   // distances, even multiples of (1,-1)). These five numbers are the
   // figure's statistics; to_dot, to_ascii, dependent_node_count and the
-  // hash inspector must all report the same dependent-node population.
+  // inspector must all report the same dependent-node population.
   LoopNest nest = core::example41(10);
   exec::Isdg g = exec::build_isdg(nest);
   EXPECT_EQ(g.node_count(), 441);
@@ -229,7 +421,7 @@ TEST(Inspector, Figure2StatisticsAgreeAcrossRenderings) {
   EXPECT_EQ(solid, 232u);
   EXPECT_EQ(hollow, 441u - 232u);
 
-  // The hash inspector sees the same structure without building the graph.
+  // The inspector sees the same structure without building the graph.
   exec::ArrayStore store(nest);
   inspect::DynamicPartition part = inspect::inspect(nest, store);
   EXPECT_EQ(part.stats().iterations, 441);

@@ -286,7 +286,7 @@ TEST(Streaming, BitIdenticalToSequentialAcrossPaperSuite) {
       exec::run_sequential(c.nest, ref);
 
       StreamOptions so;
-      so.num_threads = threads;
+      so.drive.threads = threads;
       StreamExecutor ex(c.nest, plan_for(c.nest), so);
       RuntimeStats rs = ex.run(got);
       EXPECT_EQ(ref, got) << c.name << " with " << threads << " thread(s)";
@@ -308,7 +308,7 @@ TEST(Streaming, RunsOnACallerProvidedThreadPool) {
       exec::run_sequential(c.nest, ref);
 
       StreamOptions so;
-      so.num_threads = contexts;
+      so.drive.threads = contexts;
       StreamExecutor ex(c.nest, plan_for(c.nest), so);
       RuntimeStats rs = ex.run(got, nullptr, &pool);
       EXPECT_EQ(ref, got) << c.name << " with " << contexts << " context(s)";
@@ -325,7 +325,7 @@ TEST(Streaming, InterpreterFallbackAlsoBitIdentical) {
     exec::run_sequential(c.nest, ref);
 
     StreamOptions so;
-    so.num_threads = 2;
+    so.drive.threads = 2;
     so.force_interpreter = true;
     StreamExecutor ex(c.nest, plan_for(c.nest), so);
     ex.run(got);
@@ -336,7 +336,7 @@ TEST(Streaming, InterpreterFallbackAlsoBitIdentical) {
 TEST(Streaming, TraceCoversIterationSpaceExactlyOnce) {
   for (const core::NamedNest& c : core::paper_suite(5)) {
     StreamOptions so;
-    so.num_threads = 4;
+    so.drive.threads = 4;
     so.grain = 1;  // maximal splitting: the sharpest coverage stress
     StreamExecutor ex(c.nest, plan_for(c.nest), so);
 
@@ -371,7 +371,7 @@ TEST(Streaming, SkewedNestSplitsInnerAxesBitIdentically) {
   exec::run_sequential(nest, ref);
 
   StreamOptions so;
-  so.num_threads = 8;
+  so.drive.threads = 8;
   StreamExecutor ex(nest, plan, so);
   EXPECT_EQ(ex.boxed_dims(), 2);
   exec::ArrayStore got = init;
@@ -384,7 +384,7 @@ TEST(Streaming, SkewedNestSplitsInnerAxesBitIdentically) {
   // split_dims = 1 reproduces the legacy single-axis splitter: correct,
   // but stuck at the two outer leaves with zero inner splits.
   StreamOptions legacy;
-  legacy.num_threads = 8;
+  legacy.drive.threads = 8;
   legacy.split_dims = 1;
   StreamExecutor ex1(nest, plan, legacy);
   EXPECT_EQ(ex1.boxed_dims(), 1);
@@ -410,7 +410,7 @@ TEST(Streaming, BoxedDimsIntersectDynamicBoundsOnTriangularSpaces) {
   exec::run_sequential(nest, ref);
 
   StreamOptions so;
-  so.num_threads = 4;
+  so.drive.threads = 4;
   so.grain = 1;
   StreamExecutor ex(nest, plan, so);
   RuntimeStats rs = ex.run(got);
@@ -441,7 +441,7 @@ TEST(Stats, TasksEqualSplitsPlusOne) {
   for (const core::NamedNest& c : core::paper_suite(6)) {
     for (std::size_t threads : {1u, 3u}) {
       StreamOptions so;
-      so.num_threads = threads;
+      so.drive.threads = threads;
       StreamExecutor ex(c.nest, plan_for(c.nest), so);
       exec::ArrayStore store(c.nest);
       store.fill_pattern();
@@ -458,7 +458,7 @@ TEST(Stats, TasksEqualSplitsPlusOne) {
 TEST(Stats, SingleThreadNeverSteals) {
   loopir::LoopNest nest = core::example42(8);
   StreamOptions so;
-  so.num_threads = 1;
+  so.drive.threads = 1;
   StreamExecutor ex(nest, plan_for(nest), so);
   exec::ArrayStore store(nest);
   store.fill_pattern();
@@ -476,7 +476,7 @@ TEST(Stats, DescriptorCountIsIndependentOfIterationCount) {
   auto tasks_at = [](i64 n) {
     loopir::LoopNest nest = core::example42(n);
     StreamOptions so;
-    so.num_threads = 2;
+    so.drive.threads = 2;
     StreamExecutor ex(nest, plan_for(nest), so);
     exec::ArrayStore store(nest);
     store.fill_pattern();
@@ -496,7 +496,7 @@ TEST(Driver, EverySourceRunsToItsOwnSequentialResult) {
                                                core::skewed_extent(40)};
   for (std::size_t threads : {1u, 4u}) {
     StreamOptions so;
-    so.num_threads = threads;
+    so.drive.threads = threads;
     std::vector<std::unique_ptr<StreamExecutor>> exs;
     std::vector<exec::ArrayStore> stores;
     std::vector<exec::ArrayStore> refs;

@@ -283,8 +283,8 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
       for (bool pin : {false, true}) {
         for (bool locality : {false, true}) {
           runtime::StreamOptions so;
-          so.num_threads = threads;
-          so.pin_workers = pin;
+          so.drive.threads = threads;
+          so.drive.pin_workers = pin;
           so.locality_splits = locality;
           runtime::StreamExecutor ex(c.nest, plan, so);
           exec::ArrayStore store(c.nest);
@@ -305,7 +305,7 @@ TEST(TopologyScheduling, StealDistanceCountersSumToTotalSteals) {
   loopir::LoopNest nest = core::skewed_extent(1 << 16);
   trans::TransformPlan plan = plan_for(nest);
   runtime::StreamOptions so;
-  so.num_threads = 8;
+  so.drive.threads = 8;
   so.grain = 256;  // many leaves: steals actually happen
   runtime::StreamExecutor ex(nest, plan, so);
   exec::ArrayStore store(nest);
@@ -443,7 +443,7 @@ TEST(FirstTouch, ExecutionOverFirstTouchStoreMatchesReference) {
   trans::TransformPlan plan = plan_for(nest);
   exec::ArrayStore ref = reference(nest);
   runtime::StreamOptions so;
-  so.num_threads = 8;
+  so.drive.threads = 8;
   runtime::StreamExecutor ex(nest, plan, so);
   exec::ArrayStore store(nest, exec::ArrayStore::Placement::kFirstTouch, 8);
   store.fill_pattern();
