@@ -18,7 +18,7 @@
 // Output is one JSON object per line (scraped into BENCH_runtime.json):
 //   {"bench":"inspector","name":"sparse_scatter","mode":"sequential",...}
 //   {"bench":"inspector","name":...,"mode":"sequential_compiled",...}
-//   {"bench":"inspector","name":...,"mode":"inspect","threads":nproc,
+//   {"bench":"inspector","name":...,"mode":"inspect","threads":1,
 //    "n":...,"seconds":...,"classes":...,"chains":...,"max_component":...}
 //   {"bench":"inspector","name":...,"mode":"executor_interpreter" or
 //    "executor_compiled","threads":...,"seconds":...,"bit_identical":...}
@@ -132,21 +132,21 @@ int run_scenario(const Scenario& sc, i64 n, int reps) {
       });
   expect_identical(seq_compiled == ref, "sequential CompiledKernel");
 
-  // Inspection at nproc workers: timed separately (best-of), stats from
-  // the last run.
-  inspect::DynamicPartition part = inspect::inspect(nest, init, hw_threads());
+  // Inspection (one thread): timed separately (best-of), stats from the
+  // last run.
+  inspect::DynamicPartition part = inspect::inspect(nest, init);
   const double t_inspect = best_of(reps, [&] {
     auto t0 = std::chrono::steady_clock::now();
-    part = inspect::inspect(nest, init, hw_threads());
+    part = inspect::inspect(nest, init);
     return seconds_since(t0);
   });
   const inspect::InspectStats& st = part.stats();
   std::printf(
       "{\"bench\":\"inspector\",\"name\":\"%s\",\"mode\":\"inspect\","
-      "\"threads\":%zu,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
+      "\"threads\":1,\"hw_threads\":%zu,\"n\":%lld,\"seconds\":%.6f,"
       "\"iterations_per_sec\":%.0f,\"classes\":%lld,\"chains\":%lld,"
       "\"max_component\":%lld,\"dependent\":%lld,\"written_cells\":%lld}\n",
-      sc.name, hw_threads(), hw_threads(), static_cast<long long>(n),
+      sc.name, hw_threads(), static_cast<long long>(n),
       t_inspect, ratio(static_cast<double>(n), t_inspect),
       static_cast<long long>(st.classes), static_cast<long long>(st.chains),
       static_cast<long long>(st.max_component),

@@ -199,7 +199,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       {
         obs::ScopedSpan span(obs::EventKind::kInspect, policy.trace(),
                              obs::Phase::kInspect);
-        part.emplace(inspect::inspect(*nest_, store, drive.threads, pool));
+        part.emplace(inspect::inspect(*nest_, store));
         if (span.tracing()) {
           const inspect::InspectStats& st = part->stats();
           span.set_arg(0, st.iterations);

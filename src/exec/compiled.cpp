@@ -125,7 +125,8 @@ void CompiledKernel::compile_expr(const loopir::Expr& e, Stmt& stmt, int depth) 
     case K::kRead: {
       int slot = static_cast<int>(reads_.size());
       reads_.push_back(compile_access(e.ref()));
-      stmt.program.push_back({Op::kRead, 0, slot});
+      stmt.program.push_back(
+          {reads_.back().gathers.empty() ? Op::kRead : Op::kGather, 0, slot});
       stmt.max_stack = std::max(stmt.max_stack, depth + 1);
       return;
     }
@@ -148,9 +149,13 @@ void CompiledKernel::execute_iteration(const Vec& iter) {
   execute_iteration(iter, scratch_);
 }
 
-inline i64 CompiledKernel::offset(const Access& a, const i64* it) const {
+inline i64 CompiledKernel::affine_offset(const Access& a, const i64* it) {
   i64 off = a.c0;
   for (std::size_t k = 0; k < a.coeffs.size(); ++k) off += a.coeffs[k] * it[k];
+  return off;
+}
+
+i64 CompiledKernel::gathered(const Access& a, const i64* it, i64 off) const {
   for (const Gather& g : a.gathers) {
     i64 p = g.pos0;
     for (std::size_t k = 0; k < g.pos.size(); ++k) p += g.pos[k] * it[k];
@@ -198,7 +203,12 @@ void CompiledKernel::execute_iteration(const i64* it, Scratch& scratch) const {
           break;
         case Op::kRead: {
           const Access& a = reads_[static_cast<std::size_t>(ins.index)];
-          *sp++ = a.base[offset(a, it)];
+          *sp++ = a.base[affine_offset(a, it)];
+          break;
+        }
+        case Op::kGather: {
+          const Access& a = reads_[static_cast<std::size_t>(ins.index)];
+          *sp++ = a.base[gathered(a, it, affine_offset(a, it))];
           break;
         }
         case Op::kAdd: {
@@ -224,7 +234,9 @@ void CompiledKernel::execute_iteration(const i64* it, Scratch& scratch) const {
         }
       }
     }
-    s.lhs.base[offset(s.lhs, it)] = sp[-1];
+    i64 off = affine_offset(s.lhs, it);
+    if (!s.lhs.gathers.empty()) off = gathered(s.lhs, it, off);
+    s.lhs.base[off] = sp[-1];
   }
 }
 
@@ -246,7 +258,8 @@ void CompiledKernel::execute_batch(std::span<const i64* const> iters,
           for (std::size_t l = 0; l < w; ++l) sp[l] = iters[l][ins.index];
           sp += w;
           break;
-        case Op::kRead: {
+        case Op::kRead:
+        case Op::kGather: {
           const Access& a = reads_[static_cast<std::size_t>(ins.index)];
           offsets(a, iters, off, pos);
           for (std::size_t l = 0; l < w; ++l) sp[l] = a.base[off[l]];

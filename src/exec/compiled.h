@@ -103,11 +103,14 @@ class CompiledKernel {
     int array_ord = 0;     // index into nest_.arrays(), for rebind()
     std::vector<Gather> gathers;
   };
-  enum class Op : unsigned char { kPushConst, kPushIndex, kRead, kAdd, kSub, kMul };
+  /// kRead is an affine access, kGather one with gather terms.
+  enum class Op : unsigned char {
+    kPushConst, kPushIndex, kRead, kGather, kAdd, kSub, kMul
+  };
   struct Instr {
     Op op;
     i64 value = 0;   // kPushConst
-    int index = 0;   // kPushIndex / kRead (access table slot)
+    int index = 0;   // kPushIndex / kRead / kGather (access table slot)
   };
   struct Stmt {
     Access lhs;
@@ -116,8 +119,11 @@ class CompiledKernel {
   };
 
   Access compile_access(const loopir::ArrayRef& ref);
-  i64 offset(const Access& a, const i64* it) const;
-  /// offset() of every lane into `off`, term by term over all lanes;
+  /// Flat offset of `a` at `it`: the affine part, then the gather terms
+  /// (gathered() adds them).
+  static i64 affine_offset(const Access& a, const i64* it);
+  i64 gathered(const Access& a, const i64* it, i64 off) const;
+  /// The full offset of every lane into `off`, term by term over all lanes;
   /// `pos` is scratch for the gather positions.
   void offsets(const Access& a, std::span<const i64* const> iters, i64* off,
                i64* pos) const;

@@ -3,15 +3,11 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
 #include <tuple>
-#include <thread>
-#include <type_traits>
 
 #include "exec/kernel.h"
 #include "support/error.h"
@@ -107,66 +103,22 @@ i64 cell_of(const FlatAccess& a, const i64* it) {
   return off;
 }
 
-/// Root of `x` in the concurrent union-find forest `parent`. Every
-/// non-root points at a smaller rank and only ever moves to another
-/// ancestor, so path halving may store without a CAS: a racing update
-/// replaces one ancestor with another.
+/// Root of `x` in the union-find forest `parent`, halving the path.
 i64 uf_find(i64* parent, i64 x) {
-  for (;;) {
-    const i64 p = std::atomic_ref<i64>(parent[x]).load(std::memory_order_relaxed);
-    if (p == x) return x;
-    const i64 g = std::atomic_ref<i64>(parent[p]).load(std::memory_order_relaxed);
-    if (g != p)
-      std::atomic_ref<i64>(parent[x]).store(g, std::memory_order_relaxed);
-    x = g;
+  while (parent[x] != x) {
+    parent[x] = parent[parent[x]];
+    x = parent[x];
   }
+  return x;
 }
 
 /// Merges the components of `a` and `b`, always linking the larger root
 /// under the smaller: every root stays its component's first iteration.
-/// Shared, the link is a CAS that fails only when another worker linked
-/// that root first; the retry then starts from the new roots.
-template <bool kShared>
 void uf_unite(i64* parent, i64 a, i64 b) {
-  for (;;) {
-    a = uf_find(parent, a);
-    b = uf_find(parent, b);
-    if (a == b) return;
-    if (a > b) std::swap(a, b);
-    if constexpr (!kShared) {
-      parent[b] = a;
-      return;
-    }
-    i64 expect = b;
-    if (std::atomic_ref<i64>(parent[b]).compare_exchange_weak(
-            expect, a, std::memory_order_relaxed))
-      return;
-  }
-}
-
-/// Lowers a written cell's table slot to rank+1 of writer `r` and returns
-/// whether the cell was unwritten. Shared, an atomic min, so racing chunks
-/// agree on the first writer; alone, ranks ascend and only an unwritten
-/// slot changes. With kLink, `r` also joins the component of the writer
-/// the slot held (the one it displaced, if it displaced one): every value
-/// the slot ever holds is linked to the next, so all the cell's writers
-/// end in one component.
-template <bool kShared, bool kLink>
-bool claim_cell(i64& slot, i64 r, i64* parent) {
-  i64 cur = 0;
-  if constexpr (!kShared) {
-    cur = slot;
-    if (cur == 0) slot = r + 1;
-  } else {
-    std::atomic_ref<i64> ref(slot);
-    cur = ref.load(std::memory_order_relaxed);
-    while ((cur == 0 || cur > r + 1) &&
-           !ref.compare_exchange_weak(cur, r + 1, std::memory_order_relaxed)) {
-    }
-  }
-  if (kLink && cur != 0 && cur != r + 1)
-    uf_unite<kShared>(parent, cur - 1, r);
-  return cur == 0;
+  a = uf_find(parent, a);
+  b = uf_find(parent, b);
+  if (a > b) std::swap(a, b);
+  parent[b] = a;
 }
 
 /// Number of iterations of levels >= k (`iter` holds the outer
@@ -205,40 +157,6 @@ i64* enumerate(const loopir::LoopNest& nest, int k, Vec& iter, i64* out) {
   return out;
 }
 
-/// Runs pass(k, shared) for k in [0, workers): on the caller alone for
-/// one worker, with shared a std::false_type so the pass can skip its
-/// atomics; otherwise with std::true_type on `pool` (its threads plus the
-/// caller) when given, else on workers - 1 spawned threads plus the
-/// caller. Rethrows the failure of the lowest failing k — the one a serial
-/// pass over the same chunks in order would have hit first.
-template <class Pass>
-void run_pass(std::size_t workers, ThreadPool* pool, const Pass& pass) {
-  if (workers == 1) {
-    pass(0, std::false_type{});
-    return;
-  }
-  std::vector<std::exception_ptr> errors(workers);
-  auto guarded = [&](std::size_t k) {
-    try {
-      pass(k, std::true_type{});
-    } catch (...) {
-      errors[k] = std::current_exception();
-    }
-  };
-  if (pool) {
-    pool->parallel_for(static_cast<i64>(workers),
-                       [&](i64 k) { guarded(static_cast<std::size_t>(k)); });
-  } else {
-    std::vector<std::thread> helpers;
-    helpers.reserve(workers - 1);
-    for (std::size_t k = 1; k < workers; ++k) helpers.emplace_back(guarded, k);
-    guarded(0);
-    for (std::thread& t : helpers) t.join();
-  }
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-}
-
 }  // namespace
 
 void DynamicPartition::coords_of(i64 it, Vec& out) const {
@@ -246,16 +164,15 @@ void DynamicPartition::coords_of(i64 it, Vec& out) const {
 }
 
 DynamicPartition inspect(const loopir::LoopNest& nest,
-                         const exec::ArrayStore& store, std::size_t threads,
-                         ThreadPool* pool, i64 parallel_min) {
+                         const exec::ArrayStore& store) {
   const i64 t0 = now_ns();
   const int depth = nest.depth();
   DynamicPartition part;
   part.depth_ = depth;
 
-  // Materialize the iteration coordinates in rank order: the passes cut
-  // them into rank chunks, and the executor replays them later. Counting
-  // first sizes the table once.
+  // Materialize the iteration coordinates in rank order: both passes walk
+  // them, and the executor replays them later. Counting first sizes the
+  // table once.
   i64 n = 0;
   if (depth > 0) {
     Vec iter(static_cast<std::size_t>(depth), 0);
@@ -336,64 +253,49 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
     linked.push_back(&fa);
   }
 
-  // Workers and their contiguous rank chunks.
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      n < std::max<i64>(parallel_min, 1)
-          ? 1
-          : static_cast<std::size_t>(
-                std::min(static_cast<i64>(threads != 0 ? threads : hw), n));
-  auto chunk = [&](std::size_t k) {
-    const i64 w = static_cast<i64>(workers), kk = static_cast<i64>(k);
-    return std::pair<i64, i64>{n * kk / w, n * (kk + 1) / w};
-  };
-
   // The union-find forest lives in class_of_, every iteration its own
-  // root to start (before pass 1, which already links across chunks).
+  // root to start.
   part.class_of_.resize(static_cast<std::size_t>(n));
   i64* const parent = part.class_of_.data();
   for (i64 r = 0; r < n; ++r) parent[r] = r;
 
   // Pass 1: every written cell's table slot ends as rank+1 of its first
-  // writer; the 0 -> rank+1 step happens once per cell and counts it.
-  std::vector<i64> fresh(workers, 0);
-  run_pass(workers, pool, [&](std::size_t k, auto shared) {
-    auto [lo, hi] = chunk(k);
-    i64 cells = 0;
-    for (i64 r = lo; r < hi; ++r) {
-      const i64* it = part.coords(r);
-      for (const FlatAccess* fa : checked_only) cell_of(*fa, it);
-      for (const FlatAccess* fa : marked)
-        cells += claim_cell<shared(), false>(fa->table[cell_of(*fa, it)], r,
-                                             parent);
-      for (const FlatAccess* fa : claimed)
-        cells += claim_cell<shared(), true>(fa->table[cell_of(*fa, it)], r,
-                                            parent);
+  // writer; the 0 -> rank+1 step happens once per cell and counts it. A
+  // claimed cell's later writers join its first writer right away.
+  i64 written_cells = 0;
+  for (i64 r = 0; r < n; ++r) {
+    const i64* it = part.coords(r);
+    for (const FlatAccess* fa : checked_only) cell_of(*fa, it);
+    for (const FlatAccess* fa : marked) {
+      i64& slot = fa->table[cell_of(*fa, it)];
+      if (slot == 0) slot = r + 1, ++written_cells;
     }
-    fresh[k] = cells;
-  });
+    for (const FlatAccess* fa : claimed) {
+      i64& slot = fa->table[cell_of(*fa, it)];
+      if (slot == 0)
+        slot = r + 1, ++written_cells;
+      else if (slot != r + 1)
+        uf_unite(parent, slot - 1, r);
+    }
+  }
 
   // Pass 2: every toucher of a written cell of the other arrays joins its
   // first writer's component.
   if (!linked.empty()) {
-    run_pass(workers, pool, [&](std::size_t k, auto shared) {
-      auto [lo, hi] = chunk(k);
-      for (i64 r = lo; r < hi; ++r) {
-        const i64* it = part.coords(r);
-        for (const FlatAccess* fa : linked) {
-          const i64 first = fa->table[cell_of(*fa, it)] - 1;
-          if (first >= 0 && first != r) uf_unite<shared()>(parent, first, r);
-        }
+    for (i64 r = 0; r < n; ++r) {
+      const i64* it = part.coords(r);
+      for (const FlatAccess* fa : linked) {
+        const i64 first = fa->table[cell_of(*fa, it)] - 1;
+        if (first >= 0 && first != r) uf_unite(parent, first, r);
       }
-    });
+    }
   }
 
   // Classes: every root is its component's first iteration and every
   // parent precedes its child, so one ascending sweep numbers the roots
   // in rank order (a prefix count over the roots) and hands every other
   // iteration its parent's class — in place, since a parent's slot already
-  // holds its class when its child reads it. The numbering is the one a
-  // serial inspection gives, whatever the worker count.
+  // holds its class when its child reads it.
   i64 num_classes = 0;
   for (i64 it = 0; it < n; ++it)
     parent[it] = parent[it] == it ? num_classes++ : parent[parent[it]];
@@ -414,7 +316,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   InspectStats& st = part.stats_;
   st.iterations = n;
   st.classes = num_classes;
-  for (i64 f : fresh) st.written_cells += f;
+  st.written_cells = written_cells;
   for (i64 c = 0; c < num_classes; ++c) {
     i64 sz = part.class_size(c);
     st.max_component = std::max(st.max_component, sz);

@@ -15,20 +15,17 @@
 // The builder is flat and hash-free (docs/INSPECTOR.md). Every written
 // array gets a dense table, one slot per cell, zero until pass 1 stores
 // rank+1 of the cell's first writer; pass 2 links every iteration that
-// touches a written cell to that writer in a concurrent union-find that
-// always links toward the smaller rank. Both passes run over contiguous
-// rank chunks on the caller's workers. Each component's root is then its
-// first iteration, so a prefix count over the roots numbers the classes
-// exactly as a serial inspection would: the partition and its statistics
-// are identical at every thread count. Cost is O(accesses x alpha) — not
-// the O(n^2) all-pairs walk of the brute-force exec::build_isdg, which
-// remains the ground truth the inspector is tested against.
+// touches a written cell to that writer in a union-find that always links
+// toward the smaller rank. Each component's root is then its first
+// iteration, so one ascending sweep numbers the classes by first member.
+// Cost is O(accesses x alpha) — not the O(n^2) all-pairs walk of the
+// brute-force exec::build_isdg, which remains the ground truth the
+// inspector is tested against.
 #pragma once
 
 #include <span>
 
 #include "exec/array_store.h"
-#include "support/thread_pool.h"
 
 namespace vdep::inspect {
 
@@ -84,9 +81,7 @@ class DynamicPartition {
 
  private:
   friend DynamicPartition inspect(const loopir::LoopNest& nest,
-                                  const exec::ArrayStore& store,
-                                  std::size_t threads, ThreadPool* pool,
-                                  i64 parallel_min);
+                                  const exec::ArrayStore& store);
 
   i64 offset(i64 c) const { return offsets_[static_cast<std::size_t>(c)]; }
 
@@ -101,29 +96,13 @@ class DynamicPartition {
   InspectStats stats_;
 };
 
-/// Smallest space whose passes run on more than one worker. Below it the
-/// cell tables and the forest fit a core's L2 (2 MiB on the 4-vCPU Xeon
-/// host measured in docs/INSPECTOR.md), a serial pass is latency-bound
-/// there, and sharing them makes every worker wait on the others' cache
-/// lines: four workers inspect a 2^19-iteration scatter 15% slower than
-/// one, a 2^20-iteration one 20% faster.
-inline constexpr i64 kParallelMinIterations = i64{1} << 20;
-
 /// Inspects `nest` at its current bounds against `store` (which must hold
 /// the index arrays for any indirect subscript; index arrays are read-only
 /// by LoopNest::validate, so the partition stays valid while the executor
 /// mutates data arrays). Throws PreconditionError when a subscript leaves
 /// its declared range — the same condition sequential execution would trip
 /// on, detected before any write happens.
-///
-/// Spaces of `parallel_min` iterations or more run the two passes on
-/// `threads` workers (0 = hardware concurrency): with `pool` set, its
-/// threads plus the caller, otherwise threads - 1 spawned helpers plus the
-/// caller; smaller spaces run on the caller alone. The result — classes,
-/// members and statistics — does not depend on the worker count.
 DynamicPartition inspect(const loopir::LoopNest& nest,
-                         const exec::ArrayStore& store,
-                         std::size_t threads = 1, ThreadPool* pool = nullptr,
-                         i64 parallel_min = kParallelMinIterations);
+                         const exec::ArrayStore& store);
 
 }  // namespace vdep::inspect

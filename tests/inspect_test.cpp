@@ -1,5 +1,5 @@
 // Inspector–executor tests: the flat inspector (src/inspect/) against the
-// brute-force ISDG ground truth and against itself at every worker count,
+// brute-force ISDG ground truth on affine and indirect index shapes,
 // the static partitioner as a correctness oracle on the affine paper
 // suite, compiled gather leaves against the interpreter, and the
 // end-to-end API path for indirect subscripts (A[B[i]]).
@@ -201,10 +201,10 @@ TEST(Inspector, DuplicateIndexWritesSerializeIntoOneClass) {
   EXPECT_TRUE(store == ref);
 }
 
-// ----------------------------- parallel passes, compiled gather leaves
+// ------------------------------- indirect index shapes, compiled leaves
 
-/// One indirect nest of the determinism and leaf tests, with the index
-/// values its B array holds.
+/// One indirect nest of the shape and leaf tests, with the index values
+/// its B array holds.
 struct IndirectCase {
   std::string name;
   LoopNest nest;
@@ -226,8 +226,7 @@ std::vector<i64> index_values(const std::string& shape, i64 count,
   return v;
 }
 
-std::vector<IndirectCase> indirect_cases() {
-  const i64 n = 3000;
+std::vector<IndirectCase> indirect_cases(i64 n = 3000) {
   auto parse = [](const std::string& src) {
     Expected<LoopNest> nest = dsl::try_parse_loop_nest(src);
     EXPECT_TRUE(nest) << nest.error().to_string();
@@ -250,13 +249,24 @@ std::vector<IndirectCase> indirect_cases() {
                        "]\ndo i = 1, " + std::to_string(n) +
                        "\n  A[B[i - 1]] = A[B[i - 1]] * 3 + C[i]\nenddo\n"),
                  index_values("duplicates", n, n / 5)});
+  // Two statements: the second reads what the first wrote in the same
+  // iteration, and the first reads D cells an earlier member of its class
+  // wrote, so a leaf must keep both orders.
+  out.push_back({"two statements",
+                 parse(decls + "array C[0:" + std::to_string(n - 1) +
+                       "]\narray D[0:" + std::to_string(n - 1) +
+                       "]\ndo i = 0, " + std::to_string(n - 1) +
+                       "\n  A[B[i]] = A[B[i]] + D[B[i]]"
+                       "\n  D[B[i]] = A[B[i]] * 3 - C[i]\nenddo\n"),
+                 index_values("duplicates", n, n / 8)});
+  const std::string rows = std::to_string(n / 15 - 1);
   out.push_back({"A[B[i], j]",
-                 parse("array A[0:40, 0:15]\narray B[0:199]\n"
-                       "array C[0:199, 0:15]\n"
-                       "do i = 0, 199\n  do j = 0, 15\n"
+                 parse("array A[0:40, 0:15]\narray B[0:" + rows +
+                       "]\narray C[0:" + rows + ", 0:15]\ndo i = 0, " +
+                       rows + "\n  do j = 0, 15\n"
                        "    A[B[i], j] = A[B[i], 15 - j] + C[i, j]\n"
                        "  enddo\nenddo\n"),
-                 index_values("duplicates", 200, 41)});
+                 index_values("duplicates", n / 15, 41)});
   return out;
 }
 
@@ -268,46 +278,19 @@ exec::ArrayStore store_for(const IndirectCase& c) {
   return store;
 }
 
-/// Everything an inspection produces except its wall time.
-void expect_same_partition(const inspect::DynamicPartition& want,
-                           const inspect::DynamicPartition& got,
-                           const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  ASSERT_EQ(got.num_classes(), want.num_classes()) << what;
-  for (i64 it = 0; it < want.size(); ++it)
-    ASSERT_EQ(got.class_of(it), want.class_of(it)) << what << " rank " << it;
-  for (i64 c = 0; c < want.num_classes(); ++c) {
-    std::span<const i64> a = want.members(c), b = got.members(c);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << what << " class " << c;
-  }
-  const inspect::InspectStats& a = want.stats();
-  const inspect::InspectStats& b = got.stats();
-  EXPECT_EQ(b.iterations, a.iterations) << what;
-  EXPECT_EQ(b.classes, a.classes) << what;
-  EXPECT_EQ(b.chains, a.chains) << what;
-  EXPECT_EQ(b.max_component, a.max_component) << what;
-  EXPECT_EQ(b.dependent_iterations, a.dependent_iterations) << what;
-  EXPECT_EQ(b.written_cells, a.written_cells) << what;
-}
-
-TEST(Inspector, PartitionIdenticalAtEveryThreadCount) {
-  // parallel_min 0 forces the parallel passes at these small sizes: the
-  // concurrent union-find links in a different order on every run, yet
-  // class ids, members and statistics must come out as the serial pass's.
-  ThreadPool pool(3);
-  for (const IndirectCase& c : indirect_cases()) {
+TEST(Inspector, ComponentsMatchBruteForceIsdgIndirectShapes) {
+  // The leaf tests' index shapes, small enough for the all-pairs ISDG.
+  for (const IndirectCase& c : indirect_cases(240)) {
     exec::ArrayStore store = store_for(c);
-    const inspect::DynamicPartition serial = inspect::inspect(c.nest, store);
-    EXPECT_EQ(serial.stats().chains == 0,
+    const inspect::DynamicPartition part = inspect::inspect(c.nest, store);
+    exec::Isdg g = exec::build_isdg(c.nest, store);
+    EXPECT_EQ(inspector_components(part), isdg_components(g)) << c.name;
+    EXPECT_EQ(part.stats().chains, g.chain_count()) << c.name;
+    EXPECT_EQ(part.stats().dependent_iterations, g.dependent_node_count())
+        << c.name;
+    EXPECT_EQ(part.stats().chains == 0,
               c.name.find("permutation") != std::string::npos)
         << c.name;
-    for (std::size_t threads : {1u, 2u, 4u, 8u})
-      expect_same_partition(
-          serial, inspect::inspect(c.nest, store, threads, nullptr, 0),
-          c.name + " at " + std::to_string(threads) + " threads");
-    expect_same_partition(serial, inspect::inspect(c.nest, store, 4, &pool, 0),
-                          c.name + " on a pool");
   }
 }
 
