@@ -5,7 +5,8 @@
 // dependence arrows are parallel to the sequential axis and whose stride
 // doubled. Regenerated here as: DOALL width, class count, per-item sizes,
 // zero cross-item dependence edges, and the transformed distance vectors
-// (0, 2k). Timed: schedule construction and the parallel execution.
+// (0, 2k). Timed: schedule construction and the streaming parallel
+// execution.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -14,6 +15,7 @@
 #include "dep/pdm.h"
 #include "exec/isdg.h"
 #include "exec/verify.h"
+#include "runtime/stream_executor.h"
 #include "trans/planner.h"
 
 using namespace vdep;
@@ -73,10 +75,13 @@ void BM_ParallelRun41(benchmark::State& state) {
   loopir::LoopNest nest = core::example41(state.range(0));
   trans::TransformPlan plan = trans::plan_transform(dep::compute_pdm(nest));
   ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+  runtime::StreamOptions so;
+  so.drive.threads = pool.size();
+  runtime::StreamExecutor ex(nest, plan, so);
   for (auto _ : state) {
     exec::ArrayStore store(nest);
     store.fill_pattern();
-    exec::run_parallel(nest, plan, store, pool);
+    ex.run(store, nullptr, &pool);
     benchmark::DoNotOptimize(store.checksum());
   }
 }

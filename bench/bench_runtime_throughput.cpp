@@ -1,13 +1,12 @@
-// E10: materialized vs streaming execution throughput, plus the
-// skewed-extent scenario of the N-D descriptor splitter.
+// E10: streaming execution throughput, plus the skewed-extent scenario of
+// the N-D descriptor splitter.
 //
-// The materialized path pays O(total_iterations x depth) memory and build
-// time before the first loop body runs; the streaming runtime starts
-// executing immediately and its schedule state is a handful of small
-// descriptors. At sizes where both fit, streaming must match or beat the
-// end-to-end materialized throughput; past ~hundreds of MB of schedule the
-// materialized path is not runnable at all and is reported as skipped with
-// its estimated footprint.
+// The streaming runtime starts executing immediately and its schedule state
+// is a handful of small descriptors (sched_bytes: the descriptors that ever
+// existed), so it runs spaces whose explicit per-iteration schedule would
+// not fit in memory. Each paper kernel runs at a moderate size on 1 worker
+// and on every hardware thread, then at a large size on every hardware
+// thread.
 //
 // The skewed-extent rows measure nests whose outer DOALL extent is 1-2 but
 // whose inner DOALL extent is huge: the legacy outer-only splitter
@@ -38,9 +37,7 @@
 
 #include "core/suite.h"
 #include "dep/pdm.h"
-#include "exec/compiled.h"
 #include "exec/interpreter.h"
-#include "exec/runner.h"
 #include "loopir/builder.h"
 #include "obs/trace.h"
 #include "runtime/stream_executor.h"
@@ -64,12 +61,6 @@ std::size_t hw_threads() {
   return hw;
 }
 
-// Estimated heap footprint of a materialized Schedule: one std::vector<i64>
-// per iteration (header + depth coefficients) plus the per-item vectors.
-i64 materialized_bytes(i64 iterations, int depth) {
-  return iterations * (static_cast<i64>(sizeof(std::vector<i64>)) + 8 * depth);
-}
-
 void emit(const std::string& name, const std::string& mode,
           std::size_t threads, i64 n, i64 iterations, double secs, i64 tasks,
           i64 steals, i64 sched_bytes) {
@@ -85,34 +76,6 @@ void emit(const std::string& name, const std::string& mode,
       secs > 0 ? static_cast<double>(iterations) / secs : 0.0,
       static_cast<long long>(tasks), static_cast<long long>(steals),
       static_cast<long long>(sched_bytes));
-}
-
-void emit_skipped(const std::string& name, std::size_t threads, i64 n,
-                  i64 est_bytes) {
-  std::printf(
-      "{\"bench\":\"runtime_throughput\",\"name\":\"%s\","
-      "\"mode\":\"materialized\",\"threads\":%zu,\"hw_threads\":%zu,"
-      "\"n\":%lld,"
-      "\"skipped\":\"schedule_too_large\",\"est_sched_bytes\":%lld}\n",
-      name.c_str(), threads, hw_threads(), static_cast<long long>(n),
-      static_cast<long long>(est_bytes));
-}
-
-double run_materialized(const std::string& name, const loopir::LoopNest& nest,
-                        const trans::TransformPlan& plan, std::size_t threads,
-                        i64 n) {
-  ThreadPool pool(threads);
-  exec::ArrayStore store(nest);
-  store.fill_pattern();
-  auto t0 = std::chrono::steady_clock::now();
-  exec::Schedule sched = exec::build_schedule(nest, plan);
-  exec::execute_schedule_compiled(nest, sched, store, pool);
-  double secs = seconds_since(t0);
-  i64 iters = sched.total_iterations();
-  emit(name, "materialized", threads, n, iters, secs,
-       static_cast<i64>(sched.items.size()), 0,
-       materialized_bytes(iters, nest.depth()));
-  return secs;
 }
 
 double run_streaming(const std::string& name, const loopir::LoopNest& nest,
@@ -136,8 +99,8 @@ double run_streaming(const std::string& name, const loopir::LoopNest& nest,
 struct Case {
   const char* name;
   loopir::LoopNest (*make)(i64);
-  i64 both_n;       ///< size where materialized and streaming both run
-  i64 streaming_n;  ///< size the materialized path cannot hold
+  i64 n;      ///< moderate size, run at 1 worker and at every hw thread
+  i64 big_n;  ///< large size, run at every hw thread
 };
 
 // ------------------------------------------------- skewed-extent scenario
@@ -524,28 +487,16 @@ int main(int argc, char** argv) {
   };
 
   for (const Case& c : cases) {
-    loopir::LoopNest nest = c.make(c.both_n);
+    loopir::LoopNest nest = c.make(c.n);
     trans::TransformPlan plan = trans::plan_transform(dep::compute_pdm(nest));
     for (std::size_t threads : {std::size_t{1}, hw}) {
-      double mat = run_materialized(c.name, nest, plan, threads, c.both_n);
-      double str = run_streaming(c.name, nest, plan, threads, c.both_n);
-      std::printf(
-          "{\"bench\":\"runtime_throughput\",\"name\":\"%s\","
-          "\"mode\":\"comparison\",\"threads\":%zu,\"hw_threads\":%zu,"
-          "\"n\":%lld,"
-          "\"streaming_speedup\":%.3f}\n",
-          c.name, threads, hw_threads(), static_cast<long long>(c.both_n),
-          str > 0 ? mat / str : 0.0);
-      if (threads == hw && hw == 1) break;  // avoid duplicate rows
+      run_streaming(c.name, nest, plan, threads, c.n);
+      if (hw == 1) break;  // avoid duplicate rows
     }
 
-    // The size the materialized path cannot hold: streaming only.
-    loopir::LoopNest big = c.make(c.streaming_n);
-    trans::TransformPlan big_plan =
-        trans::plan_transform(dep::compute_pdm(big));
-    emit_skipped(c.name, hw, c.streaming_n,
-                 materialized_bytes(big.iteration_count(), big.depth()));
-    run_streaming(c.name, big, big_plan, hw, c.streaming_n);
+    loopir::LoopNest big = c.make(c.big_n);
+    run_streaming(c.name, big, trans::plan_transform(dep::compute_pdm(big)),
+                  hw, c.big_n);
   }
 
   run_skewed(/*gate=*/false);

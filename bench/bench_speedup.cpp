@@ -10,8 +10,9 @@
 
 #include "core/suite.h"
 #include "dep/pdm.h"
-#include "exec/compiled.h"
+#include "exec/interpreter.h"
 #include "exec/runner.h"
+#include "runtime/stream_executor.h"
 #include "trans/planner.h"
 
 using namespace vdep;
@@ -33,16 +34,19 @@ void print_report() {
 
 void run_kernel(benchmark::State& state, loopir::LoopNest nest) {
   trans::TransformPlan plan = trans::plan_transform(dep::compute_pdm(nest));
-  // Schedule construction is a one-time compile step: built outside the
-  // timed region so the loop body execution itself is what scales.
-  exec::Schedule sched = exec::build_schedule(nest, plan);
+  // Executor construction (rewrite + hull) is a one-time compile step:
+  // built outside the timed region so the loop body execution itself is
+  // what scales. Leaves run through compiled kernels.
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  runtime::StreamOptions so;
+  so.drive.threads = pool.size();
+  runtime::StreamExecutor ex(nest, plan, so);
   for (auto _ : state) {
     state.PauseTiming();
     exec::ArrayStore store(nest);
     store.fill_pattern();
     state.ResumeTiming();
-    exec::execute_schedule_compiled(nest, sched, store, pool);
+    ex.run(store, nullptr, &pool);
     benchmark::DoNotOptimize(store.checksum());
   }
   state.SetItemsProcessed(state.iterations() * nest.iteration_count());

@@ -66,16 +66,16 @@ int main() {
   exec::VerifyResult v = exec::verify_schedule(nest, sched);
   std::cout << "trace verification: " << (v.ok ? "legal" : "ILLEGAL") << "\n";
 
-  // Execution proof.
-  ThreadPool pool(4);
-  exec::ArrayStore ref(nest);
-  ref.fill_pattern();
-  exec::ArrayStore par = ref;
-  exec::run_sequential(nest, ref);
-  exec::run_parallel(nest, plan, par, pool);
-  std::cout << "parallel result "
-            << (ref == par ? "matches" : "DOES NOT match")
-            << " the sequential reference (checksum " << ref.checksum()
-            << ")\n";
-  return ref == par && v.ok ? 0 : 1;
+  // Execution proof: check() runs the plan on the streaming runtime and
+  // the sequential reference from the same initial store, and errors on
+  // any bitwise divergence.
+  Expected<ExecReport> run = loop.check(ExecPolicy{}.threads(4));
+  if (run)
+    std::cout << "parallel result matches the sequential reference "
+                 "(checksum "
+              << run->checksum << ")\n";
+  else
+    std::cout << "parallel result DOES NOT match the sequential reference: "
+              << run.error().message << "\n";
+  return run && v.ok ? 0 : 1;
 }

@@ -72,8 +72,8 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
 
       exec::ArrayStore* store = req.store;
       if (!store) {
-        owned_stores.push_back(std::make_unique<exec::ArrayStore>(
-            req.loop.nest(), policy.placement(), drive.threads));
+        owned_stores.push_back(
+            std::make_unique<exec::ArrayStore>(req.loop.nest()));
         owned_stores.back()->fill_pattern();
         store = owned_stores.back().get();
       }
@@ -92,10 +92,7 @@ Expected<std::vector<ExecReport>> execute_batch_impl(
       if (fresh) {
         runtime::StreamOptions so;
         so.drive = drive;
-        so.grain = policy.grain();
-        so.split_dims = policy.split_dims();
         so.force_interpreter = interpret;
-        so.locality_splits = policy.locality_splits();
         group.executor = std::make_unique<runtime::StreamExecutor>(
             req.loop.nest(), req.loop.plan().transform, so);
         if (policy.backend() == ExecBackend::kJit) {

@@ -167,15 +167,6 @@ Expected<ExecReport> CompiledLoop::execute(const ExecPolicy& policy,
   return execute_impl(policy, store, &pool);
 }
 
-Expected<ExecReport> CompiledLoop::check(const ExecPolicy& policy) const {
-  return check_impl(policy, nullptr);
-}
-
-Expected<ExecReport> CompiledLoop::check(const ExecPolicy& policy,
-                                         vdep::ThreadPool& pool) const {
-  return check_impl(policy, &pool);
-}
-
 Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
                                                 exec::ArrayStore& store,
                                                 vdep::ThreadPool* pool) const {
@@ -224,7 +215,6 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
       }
       inspect::InspectorExecOptions io;
       io.drive = drive;
-      io.grain = policy.grain();
       io.force_interpreter = interpret;
       inspect::InspectorExecutor ex(*nest_, *part, io);
       runtime::RuntimeStats rs;
@@ -246,10 +236,7 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
     } else {
       runtime::StreamOptions so;
       so.drive = drive;
-      so.grain = policy.grain();
-      so.split_dims = policy.split_dims();
       so.force_interpreter = interpret;
-      so.locality_splits = policy.locality_splits();
       std::optional<runtime::StreamExecutor> ex;
       {
         obs::ScopedSpan span(obs::EventKind::kExecutorBuild, policy.trace(),
@@ -293,15 +280,12 @@ Expected<ExecReport> CompiledLoop::execute_impl(const ExecPolicy& policy,
   });
 }
 
-Expected<ExecReport> CompiledLoop::check_impl(const ExecPolicy& policy,
-                                              vdep::ThreadPool* pool) const {
+Expected<ExecReport> CompiledLoop::check(const ExecPolicy& policy,
+                                         vdep::ThreadPool* pool) const {
   return try_invoke([&]() -> ExecReport {
     exec::ArrayStore ref(*nest_);
     ref.fill_pattern();
-    // The parallel store is built fresh under the policy's placement (not
-    // copied from ref — a copy would inherit the copying thread's pages)
-    // and refilled with the same deterministic pattern.
-    exec::ArrayStore par(*nest_, policy.placement(), policy.threads());
+    exec::ArrayStore par(*nest_);
     par.fill_pattern();
     exec::run_sequential(*nest_, ref);
     // value() re-raises the typed error so the outer try_invoke recaptures

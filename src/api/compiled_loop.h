@@ -87,11 +87,6 @@ enum class ExecBackend {
 class ExecPolicy {
  public:
   ExecPolicy& threads(std::size_t t) { threads_ = t; return *this; }
-  ExecPolicy& grain(i64 g) { grain_ = g; return *this; }
-  /// How many transformed DOALL-prefix dimensions descriptors may box and
-  /// split (runtime/task.h). 0 = all (default); 1 reproduces the legacy
-  /// outer-only splitter.
-  ExecPolicy& split_dims(int n) { split_dims_ = n; return *this; }
   ExecPolicy& backend(ExecBackend b) { backend_ = b; return *this; }
   /// Whether ExecReport.checksum is computed (a full store scan per
   /// request — diagnostics; serving paths turn it off).
@@ -107,28 +102,14 @@ class ExecPolicy {
   /// affinity restored afterwards). VDEP_PIN=0 overrides from outside.
   /// Results are bit-identical either way; only placement changes.
   ExecPolicy& pin_workers(bool v) { pin_workers_ = v; return *this; }
-  /// Prefer splitting descriptors along the largest-address-stride axis
-  /// (runtime/task.h SplitPrefs); off: always longest-axis.
-  ExecPolicy& locality_splits(bool v) { locality_splits_ = v; return *this; }
-  /// Page placement of stores this policy's run allocates itself (check()'s
-  /// parallel store, owned batch stores). Caller-provided stores keep
-  /// whatever placement they were built with.
-  ExecPolicy& placement(exec::ArrayStore::Placement p) {
-    placement_ = p;
-    return *this;
-  }
 
   std::size_t threads() const { return threads_; }  ///< 0 = hardware
-  i64 grain() const { return grain_; }              ///< 0 = automatic
-  int split_dims() const { return split_dims_; }    ///< 0 = all
   ExecBackend backend() const { return backend_; }
   const jit::JitOptions& jit_options() const { return jit_; }
   bool digest() const { return digest_; }
   bool trace() const { return trace_; }
   bool metrics() const { return metrics_; }
   bool pin_workers() const { return pin_workers_; }
-  bool locality_splits() const { return locality_splits_; }
-  exec::ArrayStore::Placement placement() const { return placement_; }
   /// The descriptor driver's share of this policy: worker count (threads(),
   /// else `pool`'s size when a pool runs the call, else hardware), the
   /// trace/metrics gates and pinning.
@@ -136,16 +117,12 @@ class ExecPolicy {
 
  private:
   std::size_t threads_ = 0;
-  i64 grain_ = 0;
-  int split_dims_ = 0;
   ExecBackend backend_ = ExecBackend::kCompiled;
   jit::JitOptions jit_;
   bool digest_ = true;
   bool trace_ = true;
   bool metrics_ = true;
   bool pin_workers_ = true;
-  bool locality_splits_ = true;
-  exec::ArrayStore::Placement placement_ = exec::ArrayStore::Placement::kSerial;
 };
 
 // -------------------------------------------------------------- artifacts
@@ -330,10 +307,10 @@ class CompiledLoop {
 
   /// Executes the plan and the sequential reference from the same
   /// deterministic initial store; errors (kInternal) on any bitwise
-  /// divergence. The returned report has verified = true.
-  Expected<ExecReport> check(const ExecPolicy& policy = {}) const;
-  Expected<ExecReport> check(const ExecPolicy& policy,
-                             vdep::ThreadPool& pool) const;
+  /// divergence. The returned report has verified = true. With `pool`
+  /// set, the workers are its threads plus the caller.
+  Expected<ExecReport> check(const ExecPolicy& policy = {},
+                             vdep::ThreadPool* pool = nullptr) const;
 
   /// Multi-section human-readable report of all stages.
   std::string summary() const;
@@ -342,8 +319,6 @@ class CompiledLoop {
   Expected<ExecReport> execute_impl(const ExecPolicy& policy,
                                     exec::ArrayStore& store,
                                     vdep::ThreadPool* pool) const;
-  Expected<ExecReport> check_impl(const ExecPolicy& policy,
-                                  vdep::ThreadPool* pool) const;
 
   std::shared_ptr<const PlanArtifact> art_;
   std::shared_ptr<const loopir::LoopNest> nest_;

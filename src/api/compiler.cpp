@@ -40,7 +40,8 @@ std::shared_ptr<const PlanArtifact> Compiler::analyze_and_insert(
     disk_key = cache::plan_cache_key(cache::build_id(), fp.key);
     std::optional<cache::PlanPayload> hit;
     {
-      obs::ScopedSpan span(obs::EventKind::kDiskCacheProbe, opts_.trace());
+      obs::ScopedSpan span(obs::EventKind::kDiskCacheProbe,
+                           /*layer_enabled=*/true);
       hit = disk->load_plan(disk_key);
       span.set_arg(0, hit ? 1 : 0);
     }
@@ -64,7 +65,7 @@ std::shared_ptr<const PlanArtifact> Compiler::analyze_and_insert(
     // identity "plan" carrying zero DOALL loops and one class; execution
     // routes through the runtime inspector, which partitions per-execute
     // from the actual index-array contents.
-    obs::ScopedSpan span(obs::EventKind::kAnalyze, opts_.trace(),
+    obs::ScopedSpan span(obs::EventKind::kAnalyze, /*layer_enabled=*/true,
                          obs::Phase::kAnalyze);
     LoopAnalysis analysis;
     analysis.affine = false;
@@ -85,7 +86,7 @@ std::shared_ptr<const PlanArtifact> Compiler::analyze_and_insert(
   }
   LoopAnalysis analysis;
   {
-    obs::ScopedSpan span(obs::EventKind::kAnalyze, opts_.trace(),
+    obs::ScopedSpan span(obs::EventKind::kAnalyze, /*layer_enabled=*/true,
                          obs::Phase::kAnalyze);
     analysis.pdm = dep::compute_pdm(nest);
     analysis.rank = analysis.pdm.rank();
@@ -94,7 +95,7 @@ std::shared_ptr<const PlanArtifact> Compiler::analyze_and_insert(
 
   LoopPlan plan;
   {
-    obs::ScopedSpan span(obs::EventKind::kPlan, opts_.trace(),
+    obs::ScopedSpan span(obs::EventKind::kPlan, /*layer_enabled=*/true,
                          obs::Phase::kPlan);
     plan.transform = trans::plan_transform(analysis.pdm);
     plan.doall_loops = plan.transform.num_doall;
@@ -116,16 +117,20 @@ std::shared_ptr<const PlanArtifact> Compiler::analyze_and_insert(
 
 Expected<CompiledLoop> Compiler::compile(const loopir::LoopNest& nest) const {
   return try_invoke([&]() -> CompiledLoop {
-    if (opts_.validate()) nest.validate();
+    // The LoopNest constructor validates every nest except the
+    // default-constructed empty one, which must not reach the analysis.
+    nest.validate();
 
     Fingerprint fp;
     {
-      obs::ScopedSpan span(obs::EventKind::kFingerprint, opts_.trace());
+      obs::ScopedSpan span(obs::EventKind::kFingerprint,
+                           /*layer_enabled=*/true);
       fp = structural_fingerprint(nest);
     }
     std::shared_ptr<const PlanArtifact> art;
     {
-      obs::ScopedSpan span(obs::EventKind::kCacheProbe, opts_.trace());
+      obs::ScopedSpan span(obs::EventKind::kCacheProbe,
+                           /*layer_enabled=*/true);
       art = cache_->find(fp);
       span.set_arg(0, art ? 1 : 0);
     }
@@ -153,7 +158,7 @@ Expected<std::vector<CompiledLoop>> Compiler::compile_all(
   for (std::size_t k = 0; k < nests.size(); ++k) {
     const loopir::LoopNest& nest = nests[k];
     Expected<CompiledLoop> one = try_invoke([&]() -> CompiledLoop {
-      if (opts_.validate()) nest.validate();
+      nest.validate();  // as in compile(): the empty nest is unvalidated
       Fingerprint fp = structural_fingerprint(nest);
       auto it = local.find(fp.key);
       if (it != local.end()) return CompiledLoop(it->second, nest);
@@ -190,7 +195,7 @@ ThreadPool& Compiler::pool() const {
 
 Expected<CompiledLoop> Compiler::compile(const std::string& dsl_source) const {
   Expected<loopir::LoopNest> nest = [&] {
-    obs::ScopedSpan span(obs::EventKind::kParse, opts_.trace(),
+    obs::ScopedSpan span(obs::EventKind::kParse, /*layer_enabled=*/true,
                          obs::Phase::kParse);
     return dsl::try_parse_loop_nest(dsl_source);
   }();

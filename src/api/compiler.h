@@ -32,13 +32,7 @@ class CompileOptions {
  public:
   CompileOptions& cache_capacity(std::size_t n) { cache_capacity_ = n; return *this; }
   CompileOptions& cache_shards(std::size_t n) { cache_shards_ = n; return *this; }
-  CompileOptions& validate(bool v) { validate_ = v; return *this; }
   CompileOptions& pool_threads(std::size_t n) { pool_threads_ = n; return *this; }
-  /// Allow compile-side spans (parse, fingerprint, cache probe, analysis,
-  /// planning) into the global obs::TraceRecorder when it is enabled.
-  CompileOptions& trace(bool v) { trace_ = v; return *this; }
-  /// Same gate for compile-side counters (cache hits/misses, compiles).
-  CompileOptions& metrics(bool v) { metrics_ = v; return *this; }
   /// On-disk artifact cache root for plans (and, through ExecPolicy's
   /// JitOptions, kernels); "" = $VDEP_CACHE_DIR. Plans loaded from disk
   /// re-prove their Theorem-1 legality certificate before use.
@@ -49,20 +43,14 @@ class CompileOptions {
 
   std::size_t cache_capacity() const { return cache_capacity_; }
   std::size_t cache_shards() const { return cache_shards_; }
-  bool validate() const { return validate_; }
   std::size_t pool_threads() const { return pool_threads_; }  ///< 0 = hardware
-  bool trace() const { return trace_; }
-  bool metrics() const { return metrics_; }
   const std::string& disk_cache() const { return disk_cache_dir_; }
   bool disk_cache_enabled() const { return disk_cache_enabled_; }
 
  private:
   std::size_t cache_capacity_ = 256;
   std::size_t cache_shards_ = 8;
-  bool validate_ = true;  ///< run LoopNest::validate() before analysis
   std::size_t pool_threads_ = 0;  ///< session pool size; 0 = hardware
-  bool trace_ = true;
-  bool metrics_ = true;
   std::string disk_cache_dir_;
   bool disk_cache_enabled_ = true;
 };

@@ -1,7 +1,6 @@
 #include "dep/classic_tests.h"
 
 #include "poly/constraints.h"
-#include "poly/fourier_motzkin.h"
 #include "support/error.h"
 
 namespace vdep::dep {
@@ -34,29 +33,14 @@ bool exact_equation_test(const loopir::ArrayRef& a, const loopir::ArrayRef& b) {
   return solve_pair(a, b).exists;
 }
 
-namespace {
-
-// Rectangular hull [lo_k, hi_k] of each loop from its bound extremes.
-// For affine (triangular) bounds this uses FM to get the global range.
-std::vector<std::pair<i64, i64>> iteration_box(const loopir::LoopNest& nest) {
-  poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
-  std::vector<std::pair<i64, i64>> box;
-  for (int k = 0; k < nest.depth(); ++k) {
-    auto r = cs.variable_range(k);
-    VDEP_REQUIRE(r.has_value(), "iteration space unbounded in loop " +
-                                    nest.level(k).name);
-    box.push_back(*r);
-  }
-  return box;
-}
-
-}  // namespace
-
 bool banerjee_test(const loopir::LoopNest& nest, const loopir::ArrayRef& a,
                    const loopir::ArrayRef& b) {
   VDEP_REQUIRE(a.array == b.array && a.arity() == b.arity(),
                "banerjee_test on incompatible references");
-  auto box = iteration_box(nest);
+  int unbounded = 0;
+  const std::optional<poly::Box> box = poly::iteration_box(nest, &unbounded);
+  VDEP_REQUIRE(box.has_value(), "iteration space unbounded in loop " +
+                                    nest.level(unbounded).name);
   Mat f = a.linear_part();
   Mat g = b.linear_part();
   Vec f0 = a.constant_part();
@@ -67,7 +51,7 @@ bool banerjee_test(const loopir::LoopNest& nest, const loopir::ArrayRef& a,
   for (int dim = 0; dim < f.rows(); ++dim) {
     i64 lo = 0, hi = 0;
     for (int k = 0; k < f.cols(); ++k) {
-      auto [bl, bh] = box[static_cast<std::size_t>(k)];
+      auto [bl, bh] = (*box)[static_cast<std::size_t>(k)];
       i64 fc = f.at(dim, k);
       lo = checked::add(lo, checked::mul(fc, fc >= 0 ? bl : bh));
       hi = checked::add(hi, checked::mul(fc, fc >= 0 ? bh : bl));

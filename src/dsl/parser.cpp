@@ -8,7 +8,6 @@
 
 #include "loopir/builder.h"
 #include "poly/constraints.h"
-#include "poly/fourier_motzkin.h"
 
 namespace vdep::dsl {
 
@@ -503,16 +502,14 @@ class Lowerer {
       const std::vector<loopir::Level>& levels,
       const std::vector<loopir::Assign>& body) {
     // Iteration box via FM over the declared bounds.
-    loopir::LoopNest probe(levels, {}, {});
-    poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(probe);
-    std::vector<std::pair<i64, i64>> box;
-    for (int k = 0; k < depth_; ++k) {
-      auto r = cs.variable_range(k);
-      if (!r) throw ParseError("iteration space unbounded in loop " +
-                                   levels[static_cast<std::size_t>(k)].name,
-                               1);
-      box.push_back(*r);
-    }
+    int unbounded = 0;
+    const std::optional<poly::Box> hull =
+        poly::iteration_box(loopir::LoopNest(levels, {}, {}), &unbounded);
+    if (!hull)
+      throw ParseError("iteration space unbounded in loop " +
+                           levels[static_cast<std::size_t>(unbounded)].name,
+                       1);
+    const poly::Box& box = *hull;
 
     // Gather every reference per array.
     std::map<std::string, std::vector<const loopir::ArrayRef*>> refs;

@@ -45,7 +45,7 @@ i64* lanewise(char op, i64* sp, std::size_t w, Wraps wraps) {
 CompiledKernel::CompiledKernel(const loopir::LoopNest& nest, ArrayStore& store)
     : nest_(nest), store_(&store) {
   // Iteration box for the one-time subscript range proof.
-  std::optional<Box> box = iteration_box(nest);
+  std::optional<poly::Box> box = poly::iteration_box(nest);
   VDEP_REQUIRE(box.has_value(), "unbounded loop cannot be compiled");
   box_ = std::move(*box);
   for (const loopir::Assign& a : nest.body()) {
@@ -314,20 +314,6 @@ CompiledKernel CompiledKernel::rebind(ArrayStore& other) const {
   for (Access& a : copy.reads_) rebase(a);
   copy.store_ = &other;
   return copy;
-}
-
-void execute_schedule_compiled(const loopir::LoopNest& nest,
-                               const Schedule& sched, ArrayStore& store,
-                               ThreadPool& pool) {
-  // Compile once; the kernel is const and shared, each work item carries
-  // only a private value stack. Array memory is shared and disjoint across
-  // items by legality.
-  const CompiledKernel kernel(nest, store);
-  pool.parallel_for(static_cast<i64>(sched.items.size()), [&](i64 k) {
-    CompiledKernel::Scratch scratch = kernel.make_scratch();
-    for (const Vec& i : sched.items[static_cast<std::size_t>(k)])
-      kernel.execute_iteration(i, scratch);
-  });
 }
 
 }  // namespace vdep::exec

@@ -24,7 +24,6 @@
 #include <span>
 
 #include "exec/kernel.h"
-#include "exec/runner.h"
 
 namespace vdep::exec {
 
@@ -131,19 +130,11 @@ class CompiledKernel {
 
   const loopir::LoopNest& nest_;
   ArrayStore* store_ = nullptr;
-  Box box_;
+  poly::Box box_;
   std::vector<Stmt> stmts_;
   std::vector<Access> reads_;
   std::size_t stack_size_ = 16;
   Scratch scratch_;  // for the single-threaded convenience path
 };
-
-/// Parallel execution of a prebuilt schedule through compiled kernels (one
-/// kernel per worker is unnecessary: execution only mutates array memory,
-/// which legality keeps disjoint across items; the value stack is the only
-/// mutable kernel state, so each task gets its own kernel copy).
-void execute_schedule_compiled(const loopir::LoopNest& nest,
-                               const Schedule& sched, ArrayStore& store,
-                               ThreadPool& pool);
 
 }  // namespace vdep::exec

@@ -55,9 +55,4 @@ void run_sequential(const loopir::LoopNest& nest, ArrayStore& store) {
       [&](const Vec& iter) { execute_iteration(nest, iter, store); });
 }
 
-void run_sequential_order(const loopir::LoopNest& nest,
-                          const std::vector<Vec>& order, ArrayStore& store) {
-  for (const Vec& iter : order) execute_iteration(nest, iter, store);
-}
-
 }  // namespace vdep::exec

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "dep/dependence.h"
+#include "exec/array_store.h"
 #include "exec/runner.h"
 
 namespace vdep::exec {

@@ -1,23 +1,11 @@
 #include "exec/kernel.h"
 
-#include "poly/constraints.h"
 #include "support/checked.h"
 #include "support/error.h"
 
 namespace vdep::exec {
 
-std::optional<Box> iteration_box(const loopir::LoopNest& nest) {
-  poly::ConstraintSystem cs = poly::ConstraintSystem::from_nest(nest);
-  Box box;
-  for (int k = 0; k < nest.depth(); ++k) {
-    auto r = cs.variable_range(k);
-    if (!r.has_value()) return std::nullopt;
-    box.push_back(*r);
-  }
-  return box;
-}
-
-bool form_within(const loopir::AffineExpr& e, const Box& box, i64 lo,
+bool form_within(const loopir::AffineExpr& e, const poly::Box& box, i64 lo,
                  i64 hi) {
   i64 emin = e.constant_term(), emax = e.constant_term();
   for (int k = 0; k < e.depth(); ++k) {
@@ -38,7 +26,7 @@ void prove_subscript_ranges(const loopir::LoopNest& nest) {
     throw UnsupportedError(
         "subscript ranges of indirect references (A[B[i]]) cannot be proven "
         "statically; the inspector validates them at runtime");
-  std::optional<Box> box = iteration_box(nest);
+  std::optional<poly::Box> box = poly::iteration_box(nest);
   if (!box) throw UnsupportedError("unbounded loop cannot be range-proven");
   nest.for_each_access([&](const loopir::ArrayRef& ref, int, bool) {
     const loopir::ArrayDecl& decl = nest.array(ref.array);

@@ -16,11 +16,8 @@
 // shared store are safe.
 #pragma once
 
-#include <optional>
-#include <utility>
-#include <vector>
-
 #include "exec/array_store.h"
+#include "poly/constraints.h"
 
 namespace vdep::exec {
 
@@ -47,17 +44,12 @@ class RangeKernel {
   virtual i64 execute_range(ArrayStore& store, const IterBox& box) const = 0;
 };
 
-/// Rectangular hull of `nest`'s iteration space, one inclusive range per
-/// loop (Fourier–Motzkin over the bounds), or nullopt when a loop is
-/// unbounded.
-using Box = std::vector<std::pair<i64, i64>>;
-std::optional<Box> iteration_box(const loopir::LoopNest& nest);
-
 /// Whether affine form `e` stays inside [lo, hi] everywhere on `box`. Its
 /// extremes are computed in the order evaluation sums its terms, so every
 /// partial sum of an evaluation inside the box is bounded too: a proven
 /// form evaluates without overflow. Extremes that overflow prove nothing.
-bool form_within(const loopir::AffineExpr& e, const Box& box, i64 lo, i64 hi);
+bool form_within(const loopir::AffineExpr& e, const poly::Box& box, i64 lo,
+                 i64 hi);
 
 /// One-time subscript range proof over the rectangular hull of `nest`'s
 /// iteration space: every affine subscript's extremes must stay inside the

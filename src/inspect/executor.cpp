@@ -18,13 +18,8 @@ InspectorExecutor::InspectorExecutor(const loopir::LoopNest& nest,
   VDEP_REQUIRE(nest_.depth() == part_->depth(),
                "partition depth / nest depth mismatch");
   threads_ = opts_.drive.workers();
-  if (opts_.grain > 0) {
-    grain_ = opts_.grain;
-  } else {
-    grain_ = runtime::pick_grain(std::max<i64>(part_->num_classes(), 1),
-                                 threads_,
-                                 std::max<i64>(opts_.tasks_per_worker, 1));
-  }
+  grain_ = runtime::pick_grain(std::max<i64>(part_->num_classes(), 1),
+                               threads_);
 }
 
 runtime::TaskDescriptor InspectorExecutor::root() const {

@@ -25,10 +25,6 @@ struct InspectorExecOptions {
   /// Worker count (0 = hardware concurrency), the tracing/metrics gates
   /// and pinning, handed to the descriptor driver as they are.
   runtime::DriveOptions drive;
-  /// Classes per leaf descriptor; 0 picks ~tasks_per_worker leaves per
-  /// worker (runtime/task.h pick_grain).
-  i64 grain = 0;
-  i64 tasks_per_worker = 8;
   /// Run the leaves on the exact interpreter instead of the compiled
   /// kernel (ExecBackend::kInterpreter: the oracle).
   bool force_interpreter = false;
@@ -53,6 +49,8 @@ class InspectorExecutor {
 
   /// The root descriptor: the full class range, no boxed dims.
   runtime::TaskDescriptor root() const;
+  /// Classes per leaf descriptor: ~kTasksPerWorker leaves per worker
+  /// (runtime/task.h pick_grain).
   i64 grain() const { return grain_; }
   std::size_t num_threads() const { return threads_; }
 

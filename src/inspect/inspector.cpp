@@ -190,7 +190,7 @@ DynamicPartition inspect(const loopir::LoopNest& nest,
   for (const auto& a : accesses)
     if (std::unique_ptr<CellTable>& t = tables[a.ref.array]; a.is_write && !t)
       t = std::make_unique<CellTable>(nest.array(a.ref.array));
-  const std::optional<exec::Box> box = exec::iteration_box(nest);
+  const std::optional<poly::Box> box = poly::iteration_box(nest);
   std::vector<const loopir::ArrayRef*> refs;
   std::vector<FlatAccess> flat;
   for (const auto& a : accesses) {

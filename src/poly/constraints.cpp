@@ -114,4 +114,19 @@ ConstraintSystem ConstraintSystem::from_nest(const loopir::LoopNest& nest) {
   return cs;
 }
 
+std::optional<Box> iteration_box(const loopir::LoopNest& nest,
+                                 int* unbounded) {
+  ConstraintSystem cs = ConstraintSystem::from_nest(nest);
+  Box box;
+  for (int k = 0; k < nest.depth(); ++k) {
+    auto r = cs.variable_range(k);
+    if (!r.has_value()) {
+      if (unbounded) *unbounded = k;
+      return std::nullopt;
+    }
+    box.push_back(*r);
+  }
+  return box;
+}
+
 }  // namespace vdep::poly

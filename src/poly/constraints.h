@@ -72,4 +72,14 @@ class ConstraintSystem {
   std::vector<Constraint> rows_;
 };
 
+/// Rectangular hull of an iteration space: one inclusive range per loop,
+/// outermost first.
+using Box = std::vector<std::pair<i64, i64>>;
+
+/// The rectangular hull of `nest`'s iteration space: variable_range of every
+/// loop over from_nest. nullopt when a loop is unbounded; the first such
+/// loop's index then goes to `unbounded`, when non-null.
+std::optional<Box> iteration_box(const loopir::LoopNest& nest,
+                                 int* unbounded = nullptr);
+
 }  // namespace vdep::poly

@@ -1,10 +1,10 @@
-// Streaming execution of a TransformPlan: work-stealing over descriptors,
-// iterations regenerated on the fly.
+// Streaming execution of a TransformPlan — the one way a plan runs:
+// work-stealing over descriptors, iterations regenerated on the fly.
 //
-// The materialized schedule (exec::build_schedule, an analysis and bench
-// tool) stores every iteration vector of every work item — O(total
-// iterations x depth) memory and build time. The StreamExecutor never
-// builds that list. The root TaskDescriptor covers
+// The independent units of a plan are (DOALL-prefix value) x (partition
+// class), each run sequentially. The executor never lists their iterations
+// (exec::build_schedule does, for structural analysis only, in O(total
+// iterations x depth) memory). The root TaskDescriptor covers
 // the whole (DOALL-prefix hull) x (partition class) iteration box; workers
 // split it recursively along its longest axis (task.h) into leaves held in
 // Chase-Lev deques (work_queue.h), and each leaf *scans* its iterations
@@ -17,8 +17,8 @@
 // Loop bodies run through a shared exec::CompiledKernel with one Scratch
 // per worker; nests the kernel's one-time range proof rejects fall back to
 // the exact interpreter. Both modes produce final stores bit-identical to
-// the sequential reference — legality is the same Lemma 1 x Theorem 2
-// argument as the materialized schedule, only the cover of the box changed.
+// the sequential reference: any disjoint cover of the box by descriptors is
+// legal by Lemma 1 x Theorem 2.
 #pragma once
 
 #include <functional>
@@ -45,22 +45,15 @@ struct StreamOptions {
   /// affinity restored afterwards; VDEP_PIN=0 overrides from outside);
   /// results are bit-identical either way — only placement changes.
   DriveOptions drive;
-  /// Descriptor grain in cells; 0 picks ~tasks_per_worker leaves per
-  /// worker (task.h pick_grain).
+  /// Descriptor grain in cells; 0 picks ~kTasksPerWorker leaves per worker
+  /// (task.h pick_grain).
   i64 grain = 0;
-  /// Target leaf descriptors per worker for the automatic grain.
-  i64 tasks_per_worker = 8;
   /// How many DOALL-prefix dimensions descriptors box and split; 0 = all
   /// (capped at TaskDescriptor::kMaxDims). 1 reproduces the legacy
   /// outer-only splitter.
   int split_dims = 0;
   /// Skip the compiled kernel and always interpret (tests / debugging).
   bool force_interpreter = false;
-  /// Prefer splitting descriptors along the axis with the largest address
-  /// stride (keeps each leaf's touched rows contiguous; task.h SplitPrefs),
-  /// falling back to the longest axis when the plan gives no signal. Off:
-  /// always longest-axis.
-  bool locality_splits = true;
 };
 
 class StreamExecutor {
@@ -121,8 +114,10 @@ class StreamExecutor {
   i64 num_classes() const { return classes_; }
   std::size_t num_threads() const { return threads_; }
   const StreamOptions& options() const { return opts_; }
-  /// Locality weights of the boxed axes (all-zero unless locality_splits
-  /// found per-axis address strides to steer by).
+  /// Locality weights of the boxed axes: splits prefer the axis with the
+  /// largest address stride, which keeps each leaf's touched rows
+  /// contiguous (task.h SplitPrefs). All-zero when the plan's accesses give
+  /// no per-axis stride to steer by: the longest axis splits first.
   const SplitPrefs& split_prefs() const { return split_prefs_; }
 
  private:

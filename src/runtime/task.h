@@ -1,7 +1,6 @@
 // Work descriptors of the streaming runtime.
 //
-// The materialized path (exec::build_schedule) stores every iteration vector
-// of every work item. Here a work item is a *descriptor* of what to run, not
+// A work item of the streaming runtime is a *descriptor* of what to run, not
 // the iterations themselves: an N-dimensional iteration box
 //
 //     [lo_0, hi_0] x ... x [lo_{d-1}, hi_{d-1}]  x  [class_lo, class_hi)
@@ -15,8 +14,8 @@
 // O(active descriptors) instead of O(total iterations).
 //
 // Splitting halves the *longest* splittable axis (outermost-first on ties,
-// the class range treated as the last axis) until a descriptor covers at
-// most `grain` cells. Boxing every DOALL dimension — not only the outermost
+// the class range treated as the last axis), or the one SplitPrefs below
+// prefers, until a descriptor covers at most `grain` cells. Boxing every DOALL dimension — not only the outermost
 // — is what parallelizes skewed-extent nests whose outer extent is tiny but
 // whose inner DOALL extents are large.
 #pragma once
@@ -109,8 +108,11 @@ bool can_split(const TaskDescriptor& t, i64 grain);
 TaskDescriptor split(TaskDescriptor& t, i64 grain, int* axis_out = nullptr,
                      const SplitPrefs* prefs = nullptr);
 
-/// Grain heuristic: aim for ~`tasks_per_worker` leaf descriptors per worker
-/// by total cells, never below 1.
-i64 pick_grain(i64 total_cells, std::size_t workers, i64 tasks_per_worker);
+/// Leaf descriptors per worker the automatic grain aims for.
+inline constexpr i64 kTasksPerWorker = 8;
+
+/// Grain heuristic: aim for ~kTasksPerWorker leaf descriptors per worker by
+/// total cells, never below 1.
+i64 pick_grain(i64 total_cells, std::size_t workers);
 
 }  // namespace vdep::runtime

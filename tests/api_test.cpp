@@ -316,8 +316,7 @@ TEST(PlanCacheHammer, ConcurrentCompileExecuteEvict) {
         if (!loop->plan().legal) ++failures;
         if (loop->analysis().pdm.depth() != nest.depth()) ++failures;
         if (i % 8 == t % 8) {
-          Expected<ExecReport> r =
-              loop->check(ExecPolicy{}.threads(2).grain(1));
+          Expected<ExecReport> r = loop->check(ExecPolicy{}.threads(2));
           if (!r || !r->verified) ++failures;
         }
       }

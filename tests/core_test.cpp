@@ -75,7 +75,7 @@ TEST(Compiler, CheckedExecutionAcrossSuite) {
   for (const NamedNest& c : paper_suite(4)) {
     CompiledLoop loop = compiler.compile(c.nest).value();
     // check() errors on any divergence from sequential execution.
-    ExecReport r = loop.check(ExecPolicy{}, pool).value();
+    ExecReport r = loop.check(ExecPolicy{}, &pool).value();
     EXPECT_TRUE(r.verified) << c.name;
     EXPECT_GT(r.iterations, 0) << c.name;
   }

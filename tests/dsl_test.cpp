@@ -178,7 +178,7 @@ TEST(Integration, DslSourceToVerifiedExecution) {
   EXPECT_EQ(loop.plan().doall_loops, 1);
   EXPECT_EQ(loop.plan().partition_classes, 2);
   ThreadPool pool(2);
-  ExecReport r = loop.check(ExecPolicy{}, pool).value();
+  ExecReport r = loop.check(ExecPolicy{}, &pool).value();
   EXPECT_TRUE(r.verified);
 }
 

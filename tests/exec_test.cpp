@@ -1,6 +1,6 @@
-// Tests for the execution substrate: interpreter, parallel runner, schedule
-// verifier and the ISDG builder — end-to-end semantics preservation of the
-// paper's transformations.
+// Tests for the execution substrate: interpreter, materialized schedules,
+// schedule verifier and the ISDG builder — end-to-end semantics preservation
+// of the paper's transformations.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +13,7 @@
 #include "exec/isdg.h"
 #include "exec/verify.h"
 #include "loopir/builder.h"
+#include "runtime/stream_executor.h"
 #include "support/rng.h"
 #include "trans/planner.h"
 
@@ -132,40 +133,6 @@ TEST(Runner, Example42FourClassItems) {
   EXPECT_EQ(sched.total_iterations(), nest.iteration_count());
 }
 
-TEST(Runner, ParallelExecutionMatchesSequential41) {
-  LoopNest nest = example41(6);
-  ThreadPool pool(4);
-  ArrayStore ref(nest);
-  ref.fill_pattern();
-  ArrayStore par = ref;
-  run_sequential(nest, ref);
-  RunStats stats = run_parallel(nest, plan_for(nest), par, pool);
-  EXPECT_EQ(ref, par);
-  EXPECT_EQ(stats.iterations, nest.iteration_count());
-}
-
-TEST(Runner, ParallelExecutionMatchesSequential42) {
-  LoopNest nest = example42(6);
-  ThreadPool pool(4);
-  ArrayStore ref(nest);
-  ref.fill_pattern();
-  ArrayStore par = ref;
-  run_sequential(nest, ref);
-  RunStats stats = run_parallel(nest, plan_for(nest), par, pool);
-  EXPECT_EQ(ref, par);
-  EXPECT_EQ(stats.work_items, 4);
-}
-
-TEST(Runner, ScheduledSerialAlsoMatches) {
-  LoopNest nest = example41(4);
-  ArrayStore ref(nest);
-  ref.fill_pattern();
-  ArrayStore got = ref;
-  run_sequential(nest, ref);
-  run_scheduled_serial(nest, plan_for(nest), got);
-  EXPECT_EQ(ref, got);
-}
-
 TEST(RunnerProperty, RandomLoopsPreserveSemantics) {
   Rng rng(987654321);
   ThreadPool pool(3);
@@ -187,7 +154,9 @@ TEST(RunnerProperty, RandomLoopsPreserveSemantics) {
     ref.fill_pattern();
     ArrayStore par = ref;
     run_sequential(nest, ref);
-    run_parallel(nest, plan, par, pool);
+    runtime::StreamOptions so;
+    so.drive.threads = 3;
+    runtime::StreamExecutor(nest, plan, so).run(par, nullptr, &pool);
     EXPECT_EQ(ref, par) << nest.to_string() << plan.to_string();
 
     Schedule sched = build_schedule(nest, plan);
@@ -370,19 +339,6 @@ TEST(Compiled, PostfixOverflowThrowsLikeTheInterpreter) {
   EXPECT_EQ(compiled, oracle);
   // Sequential order: both stopped at the same statement, before writing.
   EXPECT_EQ(x, y);
-}
-
-TEST(Compiled, ScheduleExecutionMatchesSequential) {
-  LoopNest nest = example41(6);
-  trans::TransformPlan plan = plan_for(nest);
-  Schedule sched = build_schedule(nest, plan);
-  ThreadPool pool(4);
-  ArrayStore ref(nest), par(nest);
-  ref.fill_pattern();
-  par.fill_pattern();
-  run_sequential(nest, ref);
-  execute_schedule_compiled(nest, sched, par, pool);
-  EXPECT_EQ(ref, par);
 }
 
 TEST(CompiledProperty, RandomBodiesAgreeWithInterpreter) {

@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
+#include "runtime/stream_executor.h"
 
 namespace vdep {
 namespace {
@@ -265,13 +266,16 @@ TEST(Trace, RingBufferDropsInsteadOfGrowing) {
   ObsQuiet quiet;
   Compiler compiler;
   CompiledLoop loop = compiler.compile(core::example41(128)).value();
+  // One leaf per cell: far more events than the rings hold.
+  runtime::StreamOptions so;
+  so.drive.threads = 4;
+  so.grain = 1;
+  runtime::StreamExecutor ex(loop.nest(), loop.plan().transform, so);
   // Tiny rings: the run must overflow them and count drops, never resize.
   TraceRecorder::instance().enable(/*events_per_thread=*/16);
-  ExecPolicy policy;
-  policy.threads(4).grain(1).digest(false);
   exec::ArrayStore store(loop.nest());
   store.fill_pattern();
-  ASSERT_TRUE(loop.execute(policy, store));
+  ex.run(store);
   TraceRecorder::instance().disable();
 
   std::size_t buffers = TraceRecorder::instance().thread_buffer_count();

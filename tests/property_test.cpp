@@ -5,7 +5,8 @@
 //       lattice — the PDM is a sound summary;
 //   P2. the planned transformation is Theorem-1 legal and its schedule
 //       passes the memory-trace verifier;
-//   P3. parallel execution reproduces sequential semantics bit for bit;
+//   P3. parallel execution (the streaming runtime) reproduces sequential
+//       semantics bit for bit;
 //   P4. compiled kernels agree with the tree-walking interpreter;
 //   P5. emitted transformed C visits the same iteration set (via rewrite
 //       bijection), checked structurally.
@@ -19,9 +20,11 @@
 #include "core/suite.h"
 #include "dep/pdm.h"
 #include "exec/compiled.h"
+#include "exec/interpreter.h"
 #include "exec/isdg.h"
 #include "exec/verify.h"
 #include "loopir/builder.h"
+#include "runtime/stream_executor.h"
 #include "support/rng.h"
 #include "trans/planner.h"
 
@@ -97,7 +100,9 @@ TEST_P(PipelineProperty, ParallelMatchesSequential) {
   ref.fill_pattern();
   exec::ArrayStore par = ref;
   exec::run_sequential(nest, ref);
-  exec::run_parallel(nest, plan, par, pool);
+  runtime::StreamOptions so;
+  so.drive.threads = 3;
+  runtime::StreamExecutor(nest, plan, so).run(par, nullptr, &pool);
   EXPECT_EQ(ref, par) << nest.to_string() << plan.to_string();
 }
 
@@ -152,7 +157,7 @@ TEST_P(SuiteProperty, EndToEndChecked) {
   ThreadPool pool(3);
   vdep::CompiledLoop loop = compiler.compile(n).value();
   // check() errors on divergence from the sequential reference.
-  vdep::ExecReport r = loop.check(vdep::ExecPolicy{}, pool).value();
+  vdep::ExecReport r = loop.check(vdep::ExecPolicy{}, &pool).value();
   EXPECT_TRUE(r.verified);
   EXPECT_GE(loop.measure().work_items, 1);
 }
@@ -260,7 +265,9 @@ TEST_P(Deep3Property, FullPipelinePreservesSemantics) {
   ref.fill_pattern();
   exec::ArrayStore par = ref;
   exec::run_sequential(nest, ref);
-  exec::run_parallel(nest, plan, par, pool);
+  runtime::StreamOptions so;
+  so.drive.threads = 3;
+  runtime::StreamExecutor(nest, plan, so).run(par, nullptr, &pool);
   EXPECT_EQ(ref, par) << nest.to_string();
 }
 

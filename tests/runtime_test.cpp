@@ -418,20 +418,13 @@ TEST(Streaming, BoxedDimsIntersectDynamicBoundsOnTriangularSpaces) {
   EXPECT_EQ(rs.total_iterations(), nest.iteration_count());
 }
 
-TEST(Parallelizer, SplitDimsPolicyAndInnerSplitReporting) {
+TEST(Parallelizer, CheckReportsInnerSplits) {
   vdep::Compiler compiler;
   vdep::CompiledLoop loop = compiler.compile(core::skewed_extent(520)).value();
 
-  vdep::ExecReport nd =
-      loop.check(vdep::ExecPolicy{}.threads(8)).value();
+  vdep::ExecReport nd = loop.check(vdep::ExecPolicy{}.threads(8)).value();
   EXPECT_TRUE(nd.verified);
   EXPECT_GT(nd.inner_splits, 0);
-
-  vdep::ExecReport legacy =
-      loop.check(vdep::ExecPolicy{}.threads(8).split_dims(1)).value();
-  EXPECT_TRUE(legacy.verified);
-  EXPECT_EQ(legacy.inner_splits, 0);
-  EXPECT_EQ(nd.checksum, legacy.checksum);
 }
 
 // ----------------------------------------------------------------- stats
@@ -569,7 +562,7 @@ TEST(Parallelizer, StreamingModeChecksWholeSuite) {
   for (const core::NamedNest& c : core::paper_suite(5)) {
     vdep::CompiledLoop loop = compiler.compile(c.nest).value();
     // check() errors on any divergence from the sequential reference.
-    vdep::ExecReport r = loop.check(vdep::ExecPolicy{}, pool).value();
+    vdep::ExecReport r = loop.check(vdep::ExecPolicy{}, &pool).value();
     EXPECT_TRUE(r.verified) << c.name;
     EXPECT_GT(r.tasks, 0) << c.name;
   }

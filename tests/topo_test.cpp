@@ -281,21 +281,17 @@ TEST(TopologyScheduling, PinnedAndUnpinnedRunsAreBitIdentical) {
     exec::ArrayStore ref = reference(c.nest);
     for (std::size_t threads : {1u, 2u, 8u}) {
       for (bool pin : {false, true}) {
-        for (bool locality : {false, true}) {
-          runtime::StreamOptions so;
-          so.drive.threads = threads;
-          so.drive.pin_workers = pin;
-          so.locality_splits = locality;
-          runtime::StreamExecutor ex(c.nest, plan, so);
-          exec::ArrayStore store(c.nest);
-          store.fill_pattern();
-          runtime::RuntimeStats rs = ex.run(store);
-          EXPECT_TRUE(ref == store)
-              << c.name << " threads=" << threads << " pin=" << pin
-              << " locality=" << locality;
-          // The invariant tasks == splits + 1 must survive pre-seeding.
-          EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 1) << c.name;
-        }
+        runtime::StreamOptions so;
+        so.drive.threads = threads;
+        so.drive.pin_workers = pin;
+        runtime::StreamExecutor ex(c.nest, plan, so);
+        exec::ArrayStore store(c.nest);
+        store.fill_pattern();
+        runtime::RuntimeStats rs = ex.run(store);
+        EXPECT_TRUE(ref == store)
+            << c.name << " threads=" << threads << " pin=" << pin;
+        // The invariant tasks == splits + 1 must survive pre-seeding.
+        EXPECT_EQ(rs.total_tasks(), rs.total_splits() + 1) << c.name;
       }
     }
   }
